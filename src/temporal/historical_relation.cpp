@@ -42,21 +42,11 @@ VersionBatchScan HistoricalRelation::BatchScan(const ScanSpec& spec) const {
   return store_.BatchScanAll();
 }
 
-Result<size_t> HistoricalRelation::DoDeleteWhere(Transaction* txn,
-                                                 const TuplePredicate& pred,
-                                                 std::optional<Period> valid,
-                                                 const PeriodPredicate& when) {
-  TDB_ASSIGN_OR_RETURN(Period del, ResolveValidPeriod(txn, valid));
-  // Select victims first: mutating while scanning the interval index would
-  // invalidate the traversal.
-  std::vector<RowId> victims;
-  for (RowId row : store_.ValidOverlapping(del)) {
-    Result<const BitemporalTuple*> t = store_.Get(row);
-    if (!t.ok()) return t.status();
-    if (when != nullptr && !when((*t)->valid)) continue;
-    if (pred((*t)->values)) victims.push_back(row);
-  }
-  for (RowId row : victims) {
+Result<size_t> HistoricalRelation::DeleteRows(
+    Transaction* txn, const std::vector<RowId>& targets,
+    std::optional<Period> period) {
+  const Period del = *period;
+  for (RowId row : targets) {
     TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
     BitemporalTuple old = *t;
     // The fact's validity minus the deleted period: up to two remnants.
@@ -82,52 +72,33 @@ Result<size_t> HistoricalRelation::DoDeleteWhere(Transaction* txn,
       TDB_RETURN_IF_ERROR(store_.PhysicalDelete(txn, row));
     }
   }
-  return victims.size();
+  return targets.size();
 }
 
-Result<size_t> HistoricalRelation::DoReplaceWhere(Transaction* txn,
-                                                  const TuplePredicate& pred,
-                                                  const UpdateSpec& updates,
-                                                  std::optional<Period> valid,
-                                                  const PeriodPredicate& when) {
-  TDB_ASSIGN_OR_RETURN(Period rep, ResolveValidPeriod(txn, valid));
+Result<size_t> HistoricalRelation::ReplaceRows(
+    Transaction* txn, const std::vector<RowId>& targets,
+    const UpdateSpec& updates, std::optional<Period> period) {
   // Replace = delete the old values over the period, then record the new
-  // values over (old validity ∩ period).  Collect the insertions before
-  // deleting so the predicate sees the pre-statement state.
+  // values over (old validity ∩ period).  Build the insertions before
+  // deleting so they start from the pre-statement versions.
   std::vector<BitemporalTuple> insertions;
-  for (RowId row : store_.ValidOverlapping(rep)) {
-    Result<const BitemporalTuple*> t = store_.Get(row);
-    if (!t.ok()) return t.status();
-    if (when != nullptr && !when((*t)->valid)) continue;
-    if (!pred((*t)->values)) continue;
-    BitemporalTuple updated = **t;
+  for (RowId row : targets) {
+    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
+    BitemporalTuple updated = *t;
     TDB_ASSIGN_OR_RETURN(updated.values,
                          ApplyUpdates(updates, updated.values));
     TDB_ASSIGN_OR_RETURN(updated.values,
                          CheckValues(std::move(updated.values)));
-    updated.valid = updated.valid.Intersect(rep);
+    updated.valid = updated.valid.Intersect(*period);
     insertions.push_back(std::move(updated));
   }
-  if (insertions.empty()) return static_cast<size_t>(0);
-  TDB_ASSIGN_OR_RETURN(size_t deleted, DeleteWhere(txn, pred, rep, when));
+  TDB_ASSIGN_OR_RETURN(size_t deleted, DeleteRows(txn, targets, period));
   (void)deleted;
   for (BitemporalTuple& t : insertions) {
     TDB_ASSIGN_OR_RETURN(RowId row, store_.Append(txn, std::move(t)));
     (void)row;
   }
   return insertions.size();
-}
-
-Result<size_t> HistoricalRelation::CorrectErase(Transaction* txn,
-                                                const TuplePredicate& pred) {
-  std::vector<RowId> victims;
-  store_.ForEach([&](RowId row, const BitemporalTuple& t) {
-    if (pred(t.values)) victims.push_back(row);
-  });
-  for (RowId row : victims) {
-    TDB_RETURN_IF_ERROR(store_.PhysicalDelete(txn, row));
-  }
-  return victims.size();
 }
 
 }  // namespace temporadb

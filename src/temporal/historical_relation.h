@@ -38,17 +38,14 @@ class HistoricalRelation : public StoredRelation {
   VersionScan Scan(const ScanSpec& spec) const override;
   VersionBatchScan BatchScan(const ScanSpec& spec) const override;
 
-  Result<size_t> DoDeleteWhere(Transaction* txn, const TuplePredicate& pred,
-                               std::optional<Period> valid,
-                               const PeriodPredicate& when) override;
+  Result<size_t> DeleteRows(Transaction* txn,
+                            const std::vector<RowId>& targets,
+                            std::optional<Period> period) override;
 
-  Result<size_t> DoReplaceWhere(Transaction* txn, const TuplePredicate& pred,
-                                const UpdateSpec& updates,
-                                std::optional<Period> valid,
-                                const PeriodPredicate& when) override;
-
-  Result<size_t> CorrectErase(Transaction* txn,
-                              const TuplePredicate& pred) override;
+  Result<size_t> ReplaceRows(Transaction* txn,
+                             const std::vector<RowId>& targets,
+                             const UpdateSpec& updates,
+                             std::optional<Period> period) override;
 };
 
 }  // namespace temporadb

@@ -69,41 +69,29 @@ VersionBatchScan RollbackRelation::BatchScan(const ScanSpec& spec) const {
   return store_.BatchScanCurrent();
 }
 
-Result<size_t> RollbackRelation::DoDeleteWhere(Transaction* txn,
-                                               const TuplePredicate& pred,
-                                               std::optional<Period> valid,
-                                               const PeriodPredicate& when) {
-  (void)when;  // Rejected by the base wrapper (no valid time).
-  TDB_RETURN_IF_ERROR(RejectValidPeriod(valid));
+Result<size_t> RollbackRelation::DeleteRows(Transaction* txn,
+                                            const std::vector<RowId>& targets,
+                                            std::optional<Period> period) {
+  (void)period;  // No valid time.
   // Only the current state is mutable; deleting means the tuple stops being
   // part of the stored state from this transaction on.  Past states are
   // untouched and remain reachable by rollback.
-  size_t affected = 0;
-  for (RowId row : store_.CurrentRows()) {
-    Result<const BitemporalTuple*> t = store_.Get(row);
-    if (!t.ok()) return t.status();
-    if (!pred((*t)->values)) continue;
+  for (RowId row : targets) {
     TDB_RETURN_IF_ERROR(store_.CloseTxn(txn, row, txn->timestamp()));
-    ++affected;
   }
-  return affected;
+  return targets.size();
 }
 
-Result<size_t> RollbackRelation::DoReplaceWhere(Transaction* txn,
-                                                const TuplePredicate& pred,
-                                                const UpdateSpec& updates,
-                                                std::optional<Period> valid,
-                                                const PeriodPredicate& when) {
-  (void)when;  // Rejected by the base wrapper (no valid time).
-  TDB_RETURN_IF_ERROR(RejectValidPeriod(valid));
+Result<size_t> RollbackRelation::ReplaceRows(Transaction* txn,
+                                             const std::vector<RowId>& targets,
+                                             const UpdateSpec& updates,
+                                             std::optional<Period> period) {
+  (void)period;  // No valid time.
   // Close the old version at T and append the updated one at [T, ∞): the
   // new static state differs from the old exactly in the replaced tuples.
-  size_t affected = 0;
-  for (RowId row : store_.CurrentRows()) {
-    Result<const BitemporalTuple*> t = store_.Get(row);
-    if (!t.ok()) return t.status();
-    if (!pred((*t)->values)) continue;
-    BitemporalTuple updated = **t;
+  for (RowId row : targets) {
+    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
+    BitemporalTuple updated = *t;
     TDB_ASSIGN_OR_RETURN(updated.values,
                          ApplyUpdates(updates, updated.values));
     TDB_ASSIGN_OR_RETURN(updated.values,
@@ -113,9 +101,8 @@ Result<size_t> RollbackRelation::DoReplaceWhere(Transaction* txn,
     TDB_ASSIGN_OR_RETURN(RowId new_row,
                          store_.Append(txn, std::move(updated)));
     (void)new_row;
-    ++affected;
   }
-  return affected;
+  return targets.size();
 }
 
 }  // namespace temporadb

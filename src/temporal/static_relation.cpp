@@ -34,34 +34,22 @@ VersionBatchScan StaticRelation::BatchScan(const ScanSpec& spec) const {
   return store_.BatchScanAll();
 }
 
-Result<size_t> StaticRelation::DoDeleteWhere(Transaction* txn,
-                                             const TuplePredicate& pred,
-                                             std::optional<Period> valid,
-                                             const PeriodPredicate& when) {
-  (void)when;  // Rejected by the base wrapper (no valid time).
-  TDB_RETURN_IF_ERROR(RejectValidPeriod(valid));
-  std::vector<RowId> victims;
-  store_.ForEach([&](RowId row, const BitemporalTuple& t) {
-    if (pred(t.values)) victims.push_back(row);
-  });
-  for (RowId row : victims) {
+Result<size_t> StaticRelation::DeleteRows(Transaction* txn,
+                                          const std::vector<RowId>& targets,
+                                          std::optional<Period> period) {
+  (void)period;  // No valid time.
+  for (RowId row : targets) {
     TDB_RETURN_IF_ERROR(store_.PhysicalDelete(txn, row));
   }
-  return victims.size();
+  return targets.size();
 }
 
-Result<size_t> StaticRelation::DoReplaceWhere(Transaction* txn,
-                                              const TuplePredicate& pred,
-                                              const UpdateSpec& updates,
-                                              std::optional<Period> valid,
-                                              const PeriodPredicate& when) {
-  (void)when;  // Rejected by the base wrapper (no valid time).
-  TDB_RETURN_IF_ERROR(RejectValidPeriod(valid));
-  std::vector<RowId> victims;
-  store_.ForEach([&](RowId row, const BitemporalTuple& t) {
-    if (pred(t.values)) victims.push_back(row);
-  });
-  for (RowId row : victims) {
+Result<size_t> StaticRelation::ReplaceRows(Transaction* txn,
+                                           const std::vector<RowId>& targets,
+                                           const UpdateSpec& updates,
+                                           std::optional<Period> period) {
+  (void)period;  // No valid time.
+  for (RowId row : targets) {
     TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
     BitemporalTuple updated = *t;
     TDB_ASSIGN_OR_RETURN(updated.values,
@@ -70,7 +58,7 @@ Result<size_t> StaticRelation::DoReplaceWhere(Transaction* txn,
                          CheckValues(std::move(updated.values)));
     TDB_RETURN_IF_ERROR(store_.PhysicalUpdate(txn, row, std::move(updated)));
   }
-  return victims.size();
+  return targets.size();
 }
 
 }  // namespace temporadb

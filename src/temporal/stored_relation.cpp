@@ -1,5 +1,7 @@
 #include "temporal/stored_relation.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 #include "temporal/historical_relation.h"
 #include "temporal/rollback_relation.h"
@@ -28,19 +30,15 @@ Result<std::vector<Value>> ApplyUpdates(const UpdateSpec& updates,
   return out;
 }
 
-Result<size_t> StoredRelation::CorrectErase(Transaction*,
-                                            const TuplePredicate&) {
-  return Status::NotSupported(StringPrintf(
-      "physical corrections are only meaningful for historical relations; "
-      "'%s' is %s",
-      info_.name.c_str(),
-      std::string(TemporalClassName(info_.temporal_class)).c_str()));
+const std::pair<size_t, Value>* FirstIndexedProbe(
+    const VersionStore& store, const AttributeProbes& probes) {
+  for (const std::pair<size_t, Value>& probe : probes) {
+    if (store.HasAttributeIndex(probe.first)) return &probe;
+  }
+  return nullptr;
 }
 
-Result<size_t> StoredRelation::DeleteWhere(Transaction* txn,
-                                           const TuplePredicate& pred,
-                                           std::optional<Period> valid,
-                                           const PeriodPredicate& when) {
+Status StoredRelation::CheckDmlWhen(const PeriodPredicate& when) const {
   if (when != nullptr && !SupportsValidTime(info_.temporal_class)) {
     return Status::NotSupported(StringPrintf(
         "relation '%s' is %s and does not maintain valid time; a 'when' "
@@ -48,22 +46,91 @@ Result<size_t> StoredRelation::DeleteWhere(Transaction* txn,
         info_.name.c_str(),
         std::string(TemporalClassName(info_.temporal_class)).c_str()));
   }
-  return DoDeleteWhere(txn, pred, std::move(valid), when);
+  return Status::OK();
+}
+
+Result<size_t> StoredRelation::DeleteWhere(Transaction* txn,
+                                           const TuplePredicate& pred,
+                                           std::optional<Period> valid,
+                                           const PeriodPredicate& when,
+                                           const AttributeProbes& probes) {
+  TDB_RETURN_IF_ERROR(CheckDmlWhen(when));
+  TDB_ASSIGN_OR_RETURN(std::optional<Period> period,
+                       ResolveDmlPeriod(txn, valid));
+  TDB_ASSIGN_OR_RETURN(std::vector<RowId> targets,
+                       SelectTargets(pred, when, probes, period));
+  return DeleteRows(txn, targets, period);
 }
 
 Result<size_t> StoredRelation::ReplaceWhere(Transaction* txn,
                                             const TuplePredicate& pred,
                                             const UpdateSpec& updates,
                                             std::optional<Period> valid,
-                                            const PeriodPredicate& when) {
-  if (when != nullptr && !SupportsValidTime(info_.temporal_class)) {
+                                            const PeriodPredicate& when,
+                                            const AttributeProbes& probes) {
+  TDB_RETURN_IF_ERROR(CheckDmlWhen(when));
+  TDB_ASSIGN_OR_RETURN(std::optional<Period> period,
+                       ResolveDmlPeriod(txn, valid));
+  TDB_ASSIGN_OR_RETURN(std::vector<RowId> targets,
+                       SelectTargets(pred, when, probes, period));
+  return ReplaceRows(txn, targets, updates, period);
+}
+
+Result<size_t> StoredRelation::CorrectErase(Transaction* txn,
+                                            const TuplePredicate& pred,
+                                            const AttributeProbes& probes) {
+  if (info_.temporal_class != TemporalClass::kHistorical) {
     return Status::NotSupported(StringPrintf(
-        "relation '%s' is %s and does not maintain valid time; a 'when' "
-        "clause is not supported",
+        "physical corrections are only meaningful for historical "
+        "relations; '%s' is %s",
         info_.name.c_str(),
         std::string(TemporalClassName(info_.temporal_class)).c_str()));
   }
-  return DoReplaceWhere(txn, pred, updates, std::move(valid), when);
+  TDB_ASSIGN_OR_RETURN(
+      std::vector<RowId> targets,
+      SelectTargets(pred, nullptr, probes, /*overlapping=*/std::nullopt));
+  for (RowId row : targets) {
+    TDB_RETURN_IF_ERROR(store_.PhysicalDelete(txn, row));
+  }
+  return targets.size();
+}
+
+Result<std::vector<RowId>> StoredRelation::SelectTargets(
+    const TuplePredicate& pred, const PeriodPredicate& when,
+    const AttributeProbes& probes, std::optional<Period> overlapping) const {
+  const bool current_only = SupportsTransactionTime(info_.temporal_class);
+  // Select every target before the caller mutates anything: the kinds'
+  // DML appends and closes rows, which would disturb a live traversal,
+  // and the predicate must see the pre-statement state.
+  std::vector<RowId> candidates;
+  if (const std::pair<size_t, Value>* probe =
+          FirstIndexedProbe(store_, probes)) {
+    TDB_ASSIGN_OR_RETURN(candidates,
+                         store_.LookupAttribute(probe->first, probe->second));
+    std::sort(candidates.begin(), candidates.end());
+  } else if (current_only) {
+    candidates = store_.CurrentRows();  // Already in row order.
+  } else if (overlapping.has_value()) {
+    candidates = store_.ValidOverlapping(*overlapping);
+    std::sort(candidates.begin(), candidates.end());
+  } else {
+    store_.ForEach([&](RowId row, const BitemporalTuple&) {
+      candidates.push_back(row);
+    });
+  }
+  std::vector<RowId> targets;
+  for (RowId row : candidates) {
+    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
+    // Scope first, then `when`, the period and the predicate: the order
+    // the enumerating path has always evaluated them in, so a failing
+    // `when` or predicate fails on the same rows.
+    const bool overlaps =
+        !overlapping.has_value() || t->valid.Overlaps(*overlapping);
+    if (current_only ? !t->IsCurrentState() : !overlaps) continue;
+    if (when != nullptr && !when(t->valid)) continue;
+    if (overlaps && pred(t->values)) targets.push_back(row);
+  }
+  return targets;
 }
 
 Status StoredRelation::CreateIndex(std::string_view attribute) {
@@ -122,6 +189,16 @@ Status StoredRelation::RejectValidPeriod(
         std::string(TemporalClassName(info_.temporal_class)).c_str()));
   }
   return Status::OK();
+}
+
+Result<std::optional<Period>> StoredRelation::ResolveDmlPeriod(
+    Transaction* txn, std::optional<Period> valid) const {
+  if (!SupportsValidTime(info_.temporal_class)) {
+    TDB_RETURN_IF_ERROR(RejectValidPeriod(valid));
+    return std::optional<Period>();
+  }
+  TDB_ASSIGN_OR_RETURN(Period period, ResolveValidPeriod(txn, valid));
+  return std::optional<Period>(period);
 }
 
 std::unique_ptr<StoredRelation> MakeStoredRelation(

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -22,6 +23,18 @@ using TuplePredicate = std::function<bool(const std::vector<Value>&)>;
 /// (e.g. `delete f when f precede "01/01/80"`).  Null means "no when
 /// clause"; only kinds with valid time accept one.
 using PeriodPredicate = std::function<bool(Period)>;
+
+/// Equality probes into secondary attribute indexes: `(attribute index,
+/// key)` pairs, each a top-level conjunct `attr = key` of a DML where
+/// clause.  A probe only chooses candidate rows — the full predicate still
+/// runs on every candidate — so the caller may pass one only when the
+/// predicate (and any `when` predicate) cannot fail on a row the probe
+/// skips.  Probes on attributes without an index are ignored.
+using AttributeProbes = std::vector<std::pair<size_t, Value>>;
+
+/// The first probe whose attribute `store` indexes; null when there is none.
+const std::pair<size_t, Value>* FirstIndexedProbe(
+    const VersionStore& store, const AttributeProbes& probes);
 
 /// One attribute assignment of a `replace` statement.  `compute` receives
 /// the tuple's *old* values, so assignments like `salary = f.salary * 1.1`
@@ -98,24 +111,27 @@ class StoredRelation {
   /// (nullopt: "from the transaction timestamp on" with valid time, the
   /// whole tuple without).  The optional `when` predicate additionally
   /// filters targets by their valid period (TQuel's `when` on DML); it is
-  /// NotSupported on kinds without valid time.  Returns the number of
-  /// tuples affected.
+  /// NotSupported on kinds without valid time.  `probes` may narrow the
+  /// candidates to an index lookup (see `AttributeProbes`).  Returns the
+  /// number of tuples affected.
   Result<size_t> DeleteWhere(Transaction* txn, const TuplePredicate& pred,
                              std::optional<Period> valid,
-                             const PeriodPredicate& when = nullptr);
+                             const PeriodPredicate& when = nullptr,
+                             const AttributeProbes& probes = {});
 
   /// Applies `updates` to the facts matching `pred` (and `when`) over the
   /// valid period.  Returns the number of tuples affected.
   Result<size_t> ReplaceWhere(Transaction* txn, const TuplePredicate& pred,
                               const UpdateSpec& updates,
                               std::optional<Period> valid,
-                              const PeriodPredicate& when = nullptr);
+                              const PeriodPredicate& when = nullptr,
+                              const AttributeProbes& probes = {});
 
   /// Historical-only physical correction: removes matching versions
   /// entirely, leaving no trace (§4.3: "there is no record kept of the
   /// errors that have been corrected").  NotSupported elsewhere.
-  virtual Result<size_t> CorrectErase(Transaction* txn,
-                                      const TuplePredicate& pred);
+  Result<size_t> CorrectErase(Transaction* txn, const TuplePredicate& pred,
+                              const AttributeProbes& probes = {});
 
   /// Index-aware scan entry point.  Each kind resolves `spec` against the
   /// time dimensions it maintains and the store's index configuration,
@@ -150,16 +166,17 @@ class StoredRelation {
   const VersionStore* store() const { return &store_; }
 
  protected:
-  /// Kind-specific DML (the public wrappers validate `when` first).
-  virtual Result<size_t> DoDeleteWhere(Transaction* txn,
-                                       const TuplePredicate& pred,
-                                       std::optional<Period> valid,
-                                       const PeriodPredicate& when) = 0;
-  virtual Result<size_t> DoReplaceWhere(Transaction* txn,
-                                        const TuplePredicate& pred,
-                                        const UpdateSpec& updates,
-                                        std::optional<Period> valid,
-                                        const PeriodPredicate& when) = 0;
+  /// Kind-specific DML over the targets `SelectTargets` chose, in ascending
+  /// row id.  `period` is the statement's resolved valid period for kinds
+  /// with valid time and nullopt for kinds without.  Returns the number of
+  /// tuples affected.
+  virtual Result<size_t> DeleteRows(Transaction* txn,
+                                    const std::vector<RowId>& targets,
+                                    std::optional<Period> period) = 0;
+  virtual Result<size_t> ReplaceRows(Transaction* txn,
+                                     const std::vector<RowId>& targets,
+                                     const UpdateSpec& updates,
+                                     std::optional<Period> period) = 0;
 
   /// Validates arity/types and coerces values against the schema.
   Result<std::vector<Value>> CheckValues(std::vector<Value> values) const;
@@ -175,6 +192,28 @@ class StoredRelation {
 
   RelationInfo info_;
   VersionStore store_;
+
+ private:
+  /// The one DML target selection all kinds share.  Candidates come from
+  /// the first probe whose attribute is indexed, else from the kind's scope
+  /// — the current state for kinds with transaction time, the versions
+  /// whose valid period overlaps `overlapping` when given, all live
+  /// versions otherwise — and are visited in ascending row id.  Each
+  /// candidate in scope must then pass `when`, overlap `overlapping`, and
+  /// pass `pred`, evaluated in that order.
+  Result<std::vector<RowId>> SelectTargets(
+      const TuplePredicate& pred, const PeriodPredicate& when,
+      const AttributeProbes& probes,
+      std::optional<Period> overlapping) const;
+
+  /// The valid period a DML statement acts over: `ResolveValidPeriod` for
+  /// kinds with valid time, nullopt (after `RejectValidPeriod`) without.
+  Result<std::optional<Period>> ResolveDmlPeriod(
+      Transaction* txn, std::optional<Period> valid) const;
+
+  /// NotSupported when a DML `when` clause targets a kind without valid
+  /// time.
+  Status CheckDmlWhen(const PeriodPredicate& when) const;
 };
 
 /// Creates the right subclass for `info.temporal_class`.

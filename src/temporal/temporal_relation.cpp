@@ -99,88 +99,62 @@ VersionBatchScan TemporalRelation::BatchScan(const ScanSpec& spec) const {
   return store_.BatchScanCurrent();
 }
 
-Result<size_t> TemporalRelation::DoDeleteWhere(Transaction* txn,
-                                               const TuplePredicate& pred,
-                                               std::optional<Period> valid,
-                                               const PeriodPredicate& when) {
-  TDB_ASSIGN_OR_RETURN(Period del, ResolveValidPeriod(txn, valid));
+namespace {
+
+// Supersedes `row`: closes its transaction period at `now` (only versions
+// in the *current* historical state are targets; closed versions belong to
+// past states and are immutable) and appends, entering the store now, the
+// remnants of its validity outside `period`.  Returns the old version.
+Result<BitemporalTuple> Supersede(VersionStore* store, Transaction* txn,
+                                  RowId row, Period period) {
   const Chronon now = txn->timestamp();
-  // Only versions in the *current* historical state are logically visible
-  // to DML; closed versions belong to past states and are immutable.
-  std::vector<RowId> victims;
-  for (RowId row : store_.CurrentRows()) {
-    Result<const BitemporalTuple*> t = store_.Get(row);
-    if (!t.ok()) return t.status();
-    if (when != nullptr && !when((*t)->valid)) continue;
-    if ((*t)->valid.Overlaps(del) && pred((*t)->values)) {
-      victims.push_back(row);
-    }
+  TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store->Get(row));
+  BitemporalTuple old = *t;
+  TDB_RETURN_IF_ERROR(store->CloseTxn(txn, row, now));
+  Period left(old.valid.begin(), MinChronon(old.valid.end(), period.begin()));
+  Period right(MaxChronon(old.valid.begin(), period.end()), old.valid.end());
+  for (Period remnant : {left, right}) {
+    if (remnant.IsEmpty()) continue;
+    BitemporalTuple r = old;
+    r.valid = remnant;
+    r.txn = Period::From(now);
+    TDB_ASSIGN_OR_RETURN(RowId new_row, store->Append(txn, std::move(r)));
+    (void)new_row;
   }
-  for (RowId row : victims) {
-    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
-    BitemporalTuple old = *t;
-    // Supersede the old version: its transaction period ends now.
-    TDB_RETURN_IF_ERROR(store_.CloseTxn(txn, row, now));
-    // Append remnants of validity outside the deleted period, entering the
-    // store now.
-    Period left(old.valid.begin(), MinChronon(old.valid.end(), del.begin()));
-    Period right(MaxChronon(old.valid.begin(), del.end()), old.valid.end());
-    for (Period remnant : {left, right}) {
-      if (remnant.IsEmpty()) continue;
-      BitemporalTuple r = old;
-      r.valid = remnant;
-      r.txn = Period::From(now);
-      TDB_ASSIGN_OR_RETURN(RowId new_row, store_.Append(txn, std::move(r)));
-      (void)new_row;
-    }
-  }
-  return victims.size();
+  return old;
 }
 
-Result<size_t> TemporalRelation::DoReplaceWhere(Transaction* txn,
-                                                const TuplePredicate& pred,
-                                                const UpdateSpec& updates,
-                                                std::optional<Period> valid,
-                                                const PeriodPredicate& when) {
-  TDB_ASSIGN_OR_RETURN(Period rep, ResolveValidPeriod(txn, valid));
-  const Chronon now = txn->timestamp();
-  std::vector<RowId> victims;
-  for (RowId row : store_.CurrentRows()) {
-    Result<const BitemporalTuple*> t = store_.Get(row);
-    if (!t.ok()) return t.status();
-    if (when != nullptr && !when((*t)->valid)) continue;
-    if ((*t)->valid.Overlaps(rep) && pred((*t)->values)) {
-      victims.push_back(row);
-    }
+}  // namespace
+
+Result<size_t> TemporalRelation::DeleteRows(Transaction* txn,
+                                            const std::vector<RowId>& targets,
+                                            std::optional<Period> period) {
+  for (RowId row : targets) {
+    TDB_RETURN_IF_ERROR(Supersede(&store_, txn, row, *period).status());
   }
-  for (RowId row : victims) {
-    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
-    BitemporalTuple old = *t;
-    TDB_RETURN_IF_ERROR(store_.CloseTxn(txn, row, now));
-    // Remnants keep the old values where the replacement does not reach.
-    Period left(old.valid.begin(), MinChronon(old.valid.end(), rep.begin()));
-    Period right(MaxChronon(old.valid.begin(), rep.end()), old.valid.end());
-    for (Period remnant : {left, right}) {
-      if (remnant.IsEmpty()) continue;
-      BitemporalTuple r = old;
-      r.valid = remnant;
-      r.txn = Period::From(now);
-      TDB_ASSIGN_OR_RETURN(RowId new_row, store_.Append(txn, std::move(r)));
-      (void)new_row;
-    }
-    // The updated fact holds over the intersection of its old validity and
+  return targets.size();
+}
+
+Result<size_t> TemporalRelation::ReplaceRows(Transaction* txn,
+                                             const std::vector<RowId>& targets,
+                                             const UpdateSpec& updates,
+                                             std::optional<Period> period) {
+  for (RowId row : targets) {
+    // Remnants keep the old values where the replacement does not reach;
+    // the updated fact holds over the intersection of its old validity and
     // the replacement period.
-    BitemporalTuple updated = old;
+    TDB_ASSIGN_OR_RETURN(BitemporalTuple updated,
+                         Supersede(&store_, txn, row, *period));
     TDB_ASSIGN_OR_RETURN(updated.values,
                          ApplyUpdates(updates, updated.values));
     TDB_ASSIGN_OR_RETURN(updated.values,
                          CheckValues(std::move(updated.values)));
-    updated.valid = old.valid.Intersect(rep);
-    updated.txn = Period::From(now);
+    updated.valid = updated.valid.Intersect(*period);
+    updated.txn = Period::From(txn->timestamp());
     TDB_ASSIGN_OR_RETURN(RowId new_row, store_.Append(txn, std::move(updated)));
     (void)new_row;
   }
-  return victims.size();
+  return targets.size();
 }
 
 }  // namespace temporadb

@@ -476,13 +476,110 @@ Result<std::optional<Period>> ResolveDmlValidClause(
 
 namespace {
 
+// What `NeverFails` knows of an expression that cannot fail: its static
+// type, and whether it may evaluate to null (a column may hold null).
+struct SafeType {
+  ValueType type;
+  bool nullable;
+};
+
+bool IsNumeric(ValueType t) {
+  return t == ValueType::kInt || t == ValueType::kFloat;
+}
+
+// True when `Value::Compare` cannot fail on operands of these types: equal
+// types, numeric against numeric, or a date against a string literal (which
+// `CompileScalarExpr` parses into a date).  Null compares with anything.
+bool Comparable(SafeType l, SafeType r, const AstExpr& left,
+                const AstExpr& right) {
+  if (l.type == r.type) return true;
+  if (IsNumeric(l.type) && IsNumeric(r.type)) return true;
+  auto date_literal = [](SafeType date, const AstExpr& literal) {
+    return date.type == ValueType::kDate &&
+           literal.kind == AstExprKind::kStringLiteral &&
+           Date::Parse(literal.literal).ok();
+  };
+  return date_literal(l, right) || date_literal(r, left);
+}
+
+// The static type of `e` when evaluating it cannot fail on any row, nullopt
+// when it might: literals, columns, comparisons of comparable operands,
+// and/or/not over non-null booleans, and +, -, * over non-null numbers.
+// Division and modulo (by zero), arithmetic over a column (which may hold
+// null), and a column used as a boolean all might fail.
+std::optional<SafeType> NeverFails(
+    const AstExprPtr& e, const std::vector<Participant>& participants) {
+  switch (e->kind) {
+    case AstExprKind::kIntLiteral:
+    case AstExprKind::kFloatLiteral: {
+      Result<Value> v = ParseNumericLiteral(*e);
+      if (!v.ok()) return std::nullopt;
+      return SafeType{v->type(), false};
+    }
+    case AstExprKind::kStringLiteral:
+      return SafeType{ValueType::kString, false};
+    case AstExprKind::kColumn: {
+      Result<std::pair<size_t, size_t>> loc =
+          ResolveColumn(participants, e->variable, e->attribute);
+      if (!loc.ok()) return std::nullopt;
+      return SafeType{participants[loc->first]
+                          .relation->schema()
+                          .at(loc->second)
+                          .type.value_type(),
+                      true};
+    }
+    case AstExprKind::kNot: {
+      std::optional<SafeType> inner = NeverFails(e->left, participants);
+      if (!inner || inner->type != ValueType::kBool || inner->nullable) {
+        return std::nullopt;
+      }
+      return SafeType{ValueType::kBool, false};
+    }
+    case AstExprKind::kBinary: {
+      std::optional<SafeType> l = NeverFails(e->left, participants);
+      std::optional<SafeType> r = NeverFails(e->right, participants);
+      if (!l || !r) return std::nullopt;
+      if (IsComparison(e->op)) {
+        if (!Comparable(*l, *r, *e->left, *e->right)) return std::nullopt;
+        return SafeType{ValueType::kBool, false};
+      }
+      if (l->nullable || r->nullable) return std::nullopt;
+      switch (e->op) {
+        case AstBinaryOp::kAnd:
+        case AstBinaryOp::kOr:
+          if (l->type != ValueType::kBool || r->type != ValueType::kBool) {
+            return std::nullopt;
+          }
+          return SafeType{ValueType::kBool, false};
+        case AstBinaryOp::kAdd:
+        case AstBinaryOp::kSub:
+        case AstBinaryOp::kMul:
+          if (!IsNumeric(l->type) || !IsNumeric(r->type)) return std::nullopt;
+          return SafeType{l->type == ValueType::kFloat ||
+                                  r->type == ValueType::kFloat
+                              ? ValueType::kFloat
+                              : ValueType::kInt,
+                          false};
+        default:
+          return std::nullopt;
+      }
+    }
+    case AstExprKind::kAggregate:
+      return std::nullopt;
+  }
+  return std::nullopt;
+}
+
 // Walks the top-level AND-chain of the where clause, recording
-// `var.attr = <constant>` conjuncts as index-probe candidates.
-void CollectEqConstraints(const AstExprPtr& e, BoundRetrieve* bound) {
+// `var.attr = <literal>` conjuncts whose literal has the attribute's type
+// (the index key must equal the stored value exactly).
+void CollectEqConjuncts(const AstExprPtr& e,
+                        const std::vector<Participant>& participants,
+                        std::vector<AttributeProbes>* probes) {
   if (e == nullptr || e->kind != AstExprKind::kBinary) return;
   if (e->op == AstBinaryOp::kAnd) {
-    CollectEqConstraints(e->left, bound);
-    CollectEqConstraints(e->right, bound);
+    CollectEqConjuncts(e->left, participants, probes);
+    CollectEqConjuncts(e->right, participants, probes);
     return;
   }
   if (e->op != AstBinaryOp::kEq) return;
@@ -505,9 +602,9 @@ void CollectEqConstraints(const AstExprPtr& e, BoundRetrieve* bound) {
     return;
   }
   Result<std::pair<size_t, size_t>> loc = ResolveColumn(
-      bound->participants, (*column)->variable, (*column)->attribute);
+      participants, (*column)->variable, (*column)->attribute);
   if (!loc.ok()) return;
-  ValueType attr_type = bound->participants[loc->first]
+  ValueType attr_type = participants[loc->first]
                             .relation->schema()
                             .at(loc->second)
                             .type.value_type();
@@ -539,10 +636,22 @@ void CollectEqConstraints(const AstExprPtr& e, BoundRetrieve* bound) {
     default:
       return;
   }
-  bound->eq_constraints[loc->first].emplace_back(loc->second, std::move(key));
+  (*probes)[loc->first].emplace_back(loc->second, std::move(key));
 }
 
 }  // namespace
+
+std::vector<AttributeProbes> CollectIndexProbes(
+    const AstExprPtr& where, const std::vector<Participant>& participants) {
+  std::vector<AttributeProbes> probes(participants.size());
+  if (where == nullptr) return probes;
+  std::optional<SafeType> type = NeverFails(where, participants);
+  if (!type || type->type != ValueType::kBool || type->nullable) {
+    return probes;
+  }
+  CollectEqConjuncts(where, participants, &probes);
+  return probes;
+}
 
 Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
                                       const AnalyzerContext& ctx) {
@@ -691,12 +800,11 @@ Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
   }
 
   // 5. Compile clauses.
-  bound.eq_constraints.resize(bound.participants.size());
   if (stmt.where != nullptr) {
     TDB_ASSIGN_OR_RETURN(bound.where,
                          CompileScalarExpr(stmt.where, bound.participants));
-    CollectEqConstraints(stmt.where, &bound);
   }
+  bound.index_probes = CollectIndexProbes(stmt.where, bound.participants);
   if (stmt.when != nullptr) {
     TDB_ASSIGN_OR_RETURN(bound.when,
                          CompileTemporalPred(stmt.when, bound.participants));

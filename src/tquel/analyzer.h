@@ -70,12 +70,11 @@ struct BoundRetrieve {
   TemporalExprPtr asof_at;          ///< Null => no rollback.
   TemporalExprPtr asof_through;
 
-  /// Conjunctive equality constraints extracted from the where clause, per
-  /// participant ordinal: (attribute index, constant).  The evaluator
-  /// probes secondary attribute indexes with these instead of scanning.
-  /// The full where clause is still evaluated afterwards, so they are a
-  /// pure access-path optimization.
-  std::vector<std::vector<std::pair<size_t, Value>>> eq_constraints;
+  /// Index probes per participant ordinal (`CollectIndexProbes`).  The
+  /// evaluator probes secondary attribute indexes with these instead of
+  /// scanning.  The full where clause is still evaluated afterwards, so
+  /// they are a pure access-path optimization.
+  std::vector<AttributeProbes> index_probes;
 
   TemporalClass result_class = TemporalClass::kStatic;
   TemporalDataModel result_model = TemporalDataModel::kInterval;
@@ -85,6 +84,17 @@ struct BoundRetrieve {
 /// Analyzes a retrieve statement against the session's ranges and catalog.
 Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
                                       const AnalyzerContext& ctx);
+
+/// The index probes a where clause offers, per participant ordinal: the
+/// `var.attr = <literal>` conjuncts of its top-level and-chain whose literal
+/// has the attribute's type.  A probe skips rows, so there are none at all
+/// unless evaluating the clause cannot fail on any row — otherwise a probed
+/// statement could succeed where the same statement scanning every row
+/// fails.  "Cannot fail" is checked on the AST: literals, columns,
+/// comparisons of comparable types, and/or/not over comparisons, and
+/// +, -, * over non-null numbers (so no column operands).
+std::vector<AttributeProbes> CollectIndexProbes(
+    const AstExprPtr& where, const std::vector<Participant>& participants);
 
 /// Compiles a scalar AST expression against a participant list; `allow_columns`
 /// false rejects any attribute reference (append-statement constants).

@@ -22,15 +22,14 @@ struct Candidate {
 
 // Materializes the candidate tuples of one participant.
 // When the where clause pinned an indexed attribute to a constant
-// (`eq_constraints`), the secondary index supplies the candidates instead
+// (`probes`), the secondary index supplies the candidates instead
 // of a scan; visibility is re-checked, and the full where clause still runs
 // afterwards.  Otherwise the relation's `Scan` entry point resolves the
 // spec's `as of` / valid windows to its best access path (snapshot index,
 // interval index, or a sweep).
 std::vector<Candidate> MaterializeParticipant(
     const StoredRelation& rel,
-    const std::vector<std::pair<size_t, Value>>& eq_constraints,
-    const ScanSpec& spec) {
+    const AttributeProbes& probes, const ScanSpec& spec) {
   std::vector<Candidate> out;
   const VersionStore* store = rel.store();
   const bool txn_kind = SupportsTransactionTime(rel.temporal_class());
@@ -44,11 +43,12 @@ std::vector<Candidate> MaterializeParticipant(
   // under a snapshot: the B+-tree and its row set are writer-thread state
   // with no published watermark, and `Get`/`(*t)->txn` read fields the
   // writer mutates in place.
-  if (!spec.snapshot.has_value()) {
-    for (const auto& [attr, key] : eq_constraints) {
-      if (!store->HasAttributeIndex(attr)) continue;
-      Result<std::vector<RowId>> rows = store->LookupAttribute(attr, key);
-      if (!rows.ok()) break;
+  const std::pair<size_t, Value>* probe =
+      spec.snapshot.has_value() ? nullptr : FirstIndexedProbe(*store, probes);
+  if (probe != nullptr) {
+    Result<std::vector<RowId>> rows =
+        store->LookupAttribute(probe->first, probe->second);
+    if (rows.ok()) {
       for (RowId row : *rows) {
         Result<const BitemporalTuple*> t = store->Get(row);
         if (t.ok() && visible(**t)) {
@@ -149,6 +149,16 @@ Result<UpdateSpec> CompileAssignments(
   return spec;
 }
 
+// The index probes of a delete/replace/correct statement's where clause.
+// A `when` clause rules them out: its predicate may fail on rows a probe
+// would skip.
+AttributeProbes DmlProbes(const AstExprPtr& where,
+                          const AstTemporalPredPtr& when,
+                          const Participant& participant) {
+  if (when != nullptr) return {};
+  return std::move(CollectIndexProbes(where, {participant})[0]);
+}
+
 // Compiles a DML when clause (over the single range variable) into a
 // PeriodPredicate; evaluation errors surface through `error`.
 Result<PeriodPredicate> CompileDmlWhen(const AstTemporalPredPtr& ast,
@@ -223,22 +233,16 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
   // *dynamic* scan — re-planned per bound prefix, i.e. an index-nested-loop
   // join probing the interval index with the outer tuple's valid period.
   const size_t n = bound.participants.size();
-  const std::vector<std::pair<size_t, Value>> no_constraints;
   std::vector<char> dynamic(n, 0);
   std::vector<std::vector<Candidate>> fixed(n);
   for (size_t i = 0; i < n; ++i) {
     const StoredRelation& rel = *bound.participants[i].relation;
-    const auto& eqs = i < bound.eq_constraints.size()
-                          ? bound.eq_constraints[i]
-                          : no_constraints;
-    bool has_probe = false;
-    for (const auto& [attr, key] : eqs) {
-      (void)key;
-      if (rel.store()->HasAttributeIndex(attr)) {
-        has_probe = true;
-        break;
-      }
-    }
+    const AttributeProbes& probes = bound.index_probes[i];
+    // A snapshot read never probes (see MaterializeParticipant), so its
+    // probes must not cost it the time pushdown either.
+    const bool has_probe =
+        ctx.snapshot == nullptr &&
+        FirstIndexedProbe(*rel.store(), probes) != nullptr;
     ScanSpec spec;
     spec.asof = asof;
     if (ctx.snapshot != nullptr) {
@@ -257,7 +261,7 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
             bound.when->PushdownWindow(i, shape_probe, i).has_value();
       }
     }
-    if (!dynamic[i]) fixed[i] = MaterializeParticipant(rel, eqs, spec);
+    if (!dynamic[i]) fixed[i] = MaterializeParticipant(rel, probes, spec);
   }
 
   // Result schema.
@@ -502,7 +506,7 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
           p.relation->DeleteWhere(ctx.txn,
                                   CompilePredicate(std::move(where),
                                                    &pred_error),
-                                  valid, when));
+                                  valid, when, DmlProbes(s.where, s.when, p)));
       TDB_RETURN_IF_ERROR(pred_error);
       ExecResult r;
       r.kind = ExecResult::Kind::kCount;
@@ -532,7 +536,8 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
           p.relation->ReplaceWhere(ctx.txn,
                                    CompilePredicate(std::move(where),
                                                     &pred_error),
-                                   updates, valid, when));
+                                   updates, valid, when,
+                                   DmlProbes(s.where, s.when, p)));
       TDB_RETURN_IF_ERROR(pred_error);
       ExecResult r;
       r.kind = ExecResult::Kind::kCount;
@@ -555,7 +560,8 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
           size_t count,
           p.relation->CorrectErase(ctx.txn,
                                    CompilePredicate(std::move(where),
-                                                    &pred_error)));
+                                                    &pred_error),
+                                   DmlProbes(s.where, nullptr, p)));
       TDB_RETURN_IF_ERROR(pred_error);
       ExecResult r;
       r.kind = ExecResult::Kind::kCount;

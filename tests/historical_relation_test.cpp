@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "temporal/snapshot.h"
 #include "tests/relation_test_util.h"
 
@@ -169,6 +171,83 @@ TEST_F(HistoricalRelationTest, EmptyValidClauseRejected) {
   });
   EXPECT_TRUE(s.IsInvalidArgument());
 }
+
+// Three overlapping "Ann" facts, appended so that the interval index lists
+// them in another order than their row ids (Bob's rows interleave), all
+// split by one statement over [40, 60).  Their right-hand remnants must be
+// appended in ascending victim row id, whether the targets come from the
+// attribute index or from the valid-time scope.
+class HistoricalVictimOrderTest
+    : public HistoricalRelationTest,
+      public ::testing::WithParamInterface<bool> {
+ protected:
+  static Period Days(int64_t from, int64_t to) {
+    return Period(Chronon(from), Chronon(to));
+  }
+
+  void SetUp() override {
+    const bool probe = GetParam();
+    if (probe) {
+      ASSERT_TRUE(relation_->CreateIndex("name").ok());
+      probes_ = {{0, Value("Ann")}};
+    }
+    ASSERT_TRUE(Append("01/01/80", "Ann", "r0", Days(30, 70)).ok());
+    ASSERT_TRUE(Append("01/01/80", "Bob", "x", Days(0, 100)).ok());
+    ASSERT_TRUE(Append("01/01/80", "Ann", "r1", Days(10, 90)).ok());
+    ASSERT_TRUE(Append("01/01/80", "Bob", "y", Days(5, 95)).ok());
+    ASSERT_TRUE(Append("01/01/80", "Ann", "r2", Days(20, 80)).ok());
+    std::vector<RowId> overlapping =
+        relation_->store()->ValidOverlapping(kWindow);
+    ASSERT_FALSE(std::is_sorted(overlapping.begin(), overlapping.end()))
+        << "the interval index must not list rows in row order here";
+  }
+
+  // The valid periods of the rows appended after the five above.
+  std::vector<Period> AppendedRemnants() {
+    std::vector<Period> out;
+    relation_->store()->ForEach([&](RowId row, const BitemporalTuple& t) {
+      if (row >= 5 && t.valid.begin() == Chronon(60)) out.push_back(t.valid);
+    });
+    return out;
+  }
+
+  const Period kWindow = Days(40, 60);
+  AttributeProbes probes_;
+};
+
+TEST_P(HistoricalVictimOrderTest, DeleteAppendsRemnantsInRowOrder) {
+  ASSERT_TRUE(AtDate("01/01/81", [&](Transaction* txn) -> Status {
+                return relation_
+                    ->DeleteWhere(txn, NameIs("Ann"), kWindow, nullptr,
+                                  probes_)
+                    .status();
+              }).ok());
+  EXPECT_EQ(AppendedRemnants(),
+            (std::vector<Period>{Days(60, 70), Days(60, 90), Days(60, 80)}));
+}
+
+TEST_P(HistoricalVictimOrderTest, ReplaceAppendsRemnantsInRowOrder) {
+  UpdateSpec updates{ConstUpdate(1, Value("new"))};
+  ASSERT_TRUE(AtDate("01/01/81", [&](Transaction* txn) -> Status {
+                return relation_
+                    ->ReplaceWhere(txn, NameIs("Ann"), updates, kWindow,
+                                   nullptr, probes_)
+                    .status();
+              }).ok());
+  EXPECT_EQ(AppendedRemnants(),
+            (std::vector<Period>{Days(60, 70), Days(60, 90), Days(60, 80)}));
+  size_t replaced = 0;
+  for (const BitemporalTuple& t : VersionsOf("Ann")) {
+    if (t.values[1].AsString() == "new" && t.valid == kWindow) ++replaced;
+  }
+  EXPECT_EQ(replaced, 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ProbeAndScan, HistoricalVictimOrderTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "IndexProbe" : "Scan";
+                         });
 
 TEST_F(HistoricalRelationTest, AbortRestoresSplits) {
   ASSERT_TRUE(Append("01/01/80", "Ann", "full",
