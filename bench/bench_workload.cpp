@@ -3,9 +3,9 @@
 // Runs the seeded HR/payroll mixed-phase driver (serialized writer +
 // concurrent MVCC snapshot readers issuing `as of` audit sweeps,
 // valid-timeslice stabs, and when-joins) at production scale, verifies
-// every sync point bit-identically against the in-memory shadow history,
-// and emits BENCH_workload.json: write throughput, per-class read
-// latency percentiles and QPS, and partition-prune ratios.
+// every sync point against the reference evaluator and the in-memory
+// shadow history, and emits BENCH_workload.json: write throughput,
+// per-class read latency percentiles and QPS, and partition-prune ratios.
 //
 //   ./bench_workload                      # full size
 //   ./bench_workload --small              # CI tier (also: TDB_WORKLOAD_SMALL)

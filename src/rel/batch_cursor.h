@@ -8,27 +8,40 @@
 #include <vector>
 
 #include "rel/batch.h"
-#include "rel/cursor.h"
 #include "rel/expression.h"
 #include "rel/relation.h"
 
 namespace temporadb {
 
-/// A pull-based *batch* stream: the vectorized counterpart of `RowCursor`.
+/// A pull-based (Volcano-style) *batch* stream over rowsets.
 ///
-/// `NextBatch()` yields column-major `Batch`es instead of single rows, so
-/// one virtual call amortizes over ~`kDefaultBatchRows` rows and temporal
-/// predicates run as selection-vector kernels over the batch's contiguous
-/// chronon columns.  Yielded batches are always non-empty (operators whose
-/// filtering empties a batch pull again instead of yielding it); nullopt
-/// marks exhaustion.  Concatenating the yielded batches row-by-row gives
-/// exactly the row sequence the equivalent `RowCursor` tree would produce —
-/// bit-identical values, periods, order, and first-error — which is what
-/// the differential tests assert.
+/// `NextBatch()` yields column-major `Batch`es, so one virtual call
+/// amortizes over ~`kDefaultBatchRows` rows and temporal predicates run as
+/// selection-vector kernels over the batch's contiguous chronon columns.
+/// Yielded batches are always non-empty (operators whose filtering empties
+/// a batch pull again instead of yielding it); nullopt marks exhaustion.
+/// Batch sizes are an implementation detail; only the concatenated row
+/// sequence — values, periods, order, and first error — is contractual.
 ///
-/// Life cycle and borrowing rules are those of `RowCursor`: `Open()` exactly
-/// once, shape accessors only after a successful `Open()`, inputs are
-/// borrowed (debug-asserted through the same non-virtual-interface guard).
+/// Life cycle: construct, call `Open()` exactly once, and only if it
+/// returned OK pull `NextBatch()` until it yields nullopt.  The shape
+/// accessors (`schema()`/`temporal_class()`/`data_model()`) are only valid
+/// after a successful `Open()` — projection, for example, infers its output
+/// types from the first input row, so an unopened cursor has no schema to
+/// report.  A cursor whose `Open()` failed is dead: the only valid
+/// operation left is destruction.  These rules are enforced with debug
+/// asserts (the interface is non-virtual over protected `*Impl` hooks so
+/// every implementation inherits the checks); in release builds a
+/// violation remains undefined behavior.
+///
+/// Cursors *borrow* their inputs — source rowsets, expressions, and child
+/// cursors they do not own must outlive them.  The materializing operator
+/// functions in `rel/operators.h` are thin wrappers that build a cursor
+/// tree over their argument rowsets and drain it; callers that want
+/// streaming build the tree themselves and pull.
+///
+/// Threading: a cursor tree lives on one thread; any number of trees may
+/// pull concurrently as long as no two threads share one cursor.
 class BatchCursor {
  public:
   virtual ~BatchCursor() = default;
@@ -82,12 +95,13 @@ BatchCursorPtr MakeRowsetBatchCursor(const Rowset* input,
                                      size_t batch_rows = kDefaultBatchRows);
 
 /// Rows for which `pred` (borrowed) evaluates to true; predicate errors
-/// surface in row order, like the row-at-a-time select.
+/// surface in row order.
 BatchCursorPtr MakeBatchSelectCursor(BatchCursorPtr input, const Expr* pred);
 
 /// One output column per expression; output types are inferred from the
 /// first input row (string for an empty input), and expressions are
-/// evaluated in row-major order so the first error matches the row path.
+/// evaluated in row-major order, so the first error is the first failing
+/// row's.
 BatchCursorPtr MakeBatchProjectCursor(BatchCursorPtr input,
                                       const std::vector<ExprPtr>* exprs,
                                       std::vector<std::string> names);
@@ -109,16 +123,8 @@ BatchCursorPtr MakeBatchSortCursor(BatchCursorPtr input,
 /// into one columnar buffer at Open; each outer row then intersects its
 /// periods against the whole inner side with one branch-free kernel pass
 /// (`IntersectBitemporal` / `IntersectPeriods`), dropping never-coexisting
-/// pairs exactly like the row path's per-pair `Intersect` + empty check.
+/// pairs exactly like a per-pair `Intersect` + empty check.
 BatchCursorPtr MakeBatchCrossProductCursor(BatchCursorPtr a, BatchCursorPtr b);
-
-/// Adapter: presents a batch tree as a `RowCursor` (rows are extracted one
-/// at a time from the current batch).  Takes ownership.
-RowCursorPtr MakeRowCursorOverBatches(BatchCursorPtr input);
-
-/// Adapter: batches up a row stream (`batch_rows` rows per batch).
-BatchCursorPtr MakeBatchCursorOverRows(RowCursorPtr input,
-                                       size_t batch_rows = kDefaultBatchRows);
 
 /// Drains a batch cursor into a rowset (Open + NextBatch loop).
 Result<Rowset> MaterializeBatchCursor(BatchCursor* cursor);

@@ -1,6 +1,7 @@
 #include "rel/expression.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/strings.h"
 
@@ -130,21 +131,32 @@ class ArithExpr final : public Expr {
     bool int_math =
         l.type() == ValueType::kInt && r.type() == ValueType::kInt;
     if (int_math) {
-      int64_t a = l.AsInt(), b = r.AsInt();
+      // int64 arithmetic is checked: signed overflow is an error, not UB.
+      const int64_t a = l.AsInt(), b = r.AsInt();
+      int64_t out = 0;
+      bool overflow = false;
       switch (op_) {
         case ArithOp::kAdd:
-          return Value(a + b);
+          overflow = __builtin_add_overflow(a, b, &out);
+          break;
         case ArithOp::kSub:
-          return Value(a - b);
+          overflow = __builtin_sub_overflow(a, b, &out);
+          break;
         case ArithOp::kMul:
-          return Value(a * b);
+          overflow = __builtin_mul_overflow(a, b, &out);
+          break;
         case ArithOp::kDiv:
           if (b == 0) return Status::InvalidArgument("division by zero");
-          return Value(a / b);
+          overflow = a == std::numeric_limits<int64_t>::min() && b == -1;
+          if (!overflow) out = a / b;
+          break;
         case ArithOp::kMod:
           if (b == 0) return Status::InvalidArgument("mod by zero");
-          return Value(a % b);
+          out = b == -1 ? 0 : a % b;  // INT64_MIN % -1 traps on x86.
+          break;
       }
+      if (overflow) return Status::InvalidArgument("integer overflow");
+      return Value(out);
     }
     TDB_ASSIGN_OR_RETURN(double a, l.AsNumeric());
     TDB_ASSIGN_OR_RETURN(double b, r.AsNumeric());

@@ -40,23 +40,14 @@ Result<Rowset> ScanStored(const StoredRelation& rel) {
   Rowset out(rel.schema(), cls, rel.data_model());
   const bool with_valid = SupportsValidTime(cls);
   const bool with_txn = SupportsTransactionTime(cls);
-  if (rel.store()->options().batch_exec) {
-    VersionBatchScan scan = rel.store()->BatchScanAll();
-    VersionBatch batch;
-    while (scan.Next(&batch)) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        TDB_RETURN_IF_ERROR(
-            out.AddRow(RowFromBatch(batch, i, with_valid, with_txn)));
-      }
+  VersionBatchScan scan = rel.store()->BatchScanAll();
+  VersionBatch batch;
+  while (scan.Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      TDB_RETURN_IF_ERROR(
+          out.AddRow(RowFromBatch(batch, i, with_valid, with_txn)));
     }
-    return out;
   }
-  Status status = Status::OK();
-  rel.store()->ForEach([&](RowId, const BitemporalTuple& t) {
-    if (!status.ok()) return;
-    status = out.AddRow(RowFrom(t, with_valid, with_txn));
-  });
-  TDB_RETURN_IF_ERROR(status);
   return out;
 }
 
@@ -145,20 +136,13 @@ Result<Rowset> CurrentState(const StoredRelation& rel) {
   Rowset out(rel.schema(), derived, rel.data_model());
   // An empty spec resolves to the current stored state for kinds with
   // transaction time and a full sweep otherwise, in row order either way.
-  if (rel.store()->options().batch_exec) {
-    VersionBatchScan scan = rel.BatchScan({});
-    VersionBatch batch;
-    while (scan.Next(&batch)) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        TDB_RETURN_IF_ERROR(
-            out.AddRow(RowFromBatch(batch, i, with_valid, false)));
-      }
+  VersionBatchScan scan = rel.BatchScan({});
+  VersionBatch batch;
+  while (scan.Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      TDB_RETURN_IF_ERROR(
+          out.AddRow(RowFromBatch(batch, i, with_valid, false)));
     }
-    return out;
-  }
-  VersionScan scan = rel.Scan({});
-  while (const BitemporalTuple* t = scan.Next()) {
-    TDB_RETURN_IF_ERROR(out.AddRow(RowFrom(*t, with_valid, false)));
   }
   return out;
 }

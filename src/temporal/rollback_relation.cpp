@@ -36,22 +36,6 @@ BatchPredicates SnapshotPreds(const ScanSpec& spec) {
 
 }  // namespace
 
-VersionScan RollbackRelation::Scan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) {
-    return store_.ScanSnapshot(*spec.snapshot, SnapshotPreds(spec));
-  }
-  if (spec.asof.has_value()) {
-    const Period w = *spec.asof;
-    if (store_.options().time_pushdown) {
-      if (w.IsInstant()) return store_.ScanAsOf(w.begin());
-      return store_.ScanTxnOverlapping(w);
-    }
-    return store_.ScanAll(
-        [w](const BitemporalTuple& t) { return t.txn.Overlaps(w); });
-  }
-  return store_.ScanCurrent();
-}
-
 VersionBatchScan RollbackRelation::BatchScan(const ScanSpec& spec) const {
   if (spec.snapshot.has_value()) {
     return store_.BatchScanSnapshot(*spec.snapshot, SnapshotPreds(spec));

@@ -146,15 +146,10 @@ class StoredRelation {
   ///
   /// Without `asof`, kinds with transaction time scan only the current
   /// stored state.  With `store()->options().time_pushdown == false`, every
-  /// window degrades to a sequential sweep plus filter (the ablation
-  /// baseline).  Yield order is ascending row id regardless of path.
-  virtual VersionScan Scan(const ScanSpec& spec) const = 0;
-
-  /// Batch counterpart of `Scan`: identical access-path selection, but the
-  /// scan yields columnar `VersionBatch`es whose residual time predicates
-  /// run as branch-free kernels over the store's chronon columns.  Yields
-  /// exactly the row sequence of `Scan(spec)`, sliced into batches of
-  /// `store()->options().batch_rows`.
+  /// window degrades to a sequential sweep whose residual time predicates
+  /// run as kernels (the ablation baseline).  The scan yields columnar
+  /// `VersionBatch`es of at most `store()->options().batch_rows` rows, in
+  /// ascending row id regardless of path.
   virtual VersionBatchScan BatchScan(const ScanSpec& spec) const = 0;
 
   /// Creates a secondary index on the named attribute (used by the query

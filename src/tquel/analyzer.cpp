@@ -504,9 +504,10 @@ bool Comparable(SafeType l, SafeType r, const AstExpr& left,
 
 // The static type of `e` when evaluating it cannot fail on any row, nullopt
 // when it might: literals, columns, comparisons of comparable operands,
-// and/or/not over non-null booleans, and +, -, * over non-null numbers.
-// Division and modulo (by zero), arithmetic over a column (which may hold
-// null), and a column used as a boolean all might fail.
+// and/or/not over non-null booleans, and +, -, * over non-null numbers at
+// least one of which is a float.  Integer +, -, * (overflow), division and
+// modulo (by zero), arithmetic over a column (which may hold null), and a
+// column used as a boolean all might fail.
 std::optional<SafeType> NeverFails(
     const AstExprPtr& e, const std::vector<Participant>& participants) {
   switch (e->kind) {
@@ -555,11 +556,12 @@ std::optional<SafeType> NeverFails(
         case AstBinaryOp::kSub:
         case AstBinaryOp::kMul:
           if (!IsNumeric(l->type) || !IsNumeric(r->type)) return std::nullopt;
-          return SafeType{l->type == ValueType::kFloat ||
-                                  r->type == ValueType::kFloat
-                              ? ValueType::kFloat
-                              : ValueType::kInt,
-                          false};
+          // int64 arithmetic may overflow; anything with a float operand
+          // is float arithmetic, which cannot fail.
+          if (l->type == ValueType::kInt && r->type == ValueType::kInt) {
+            return std::nullopt;
+          }
+          return SafeType{ValueType::kFloat, false};
         default:
           return std::nullopt;
       }

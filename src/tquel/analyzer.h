@@ -92,7 +92,8 @@ Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
 /// statement could succeed where the same statement scanning every row
 /// fails.  "Cannot fail" is checked on the AST: literals, columns,
 /// comparisons of comparable types, and/or/not over comparisons, and
-/// +, -, * over non-null numbers (so no column operands).
+/// +, -, * over non-null numbers with a float operand (so no column
+/// operands, and no integer arithmetic, which may overflow).
 std::vector<AttributeProbes> CollectIndexProbes(
     const AstExprPtr& where, const std::vector<Participant>& participants);
 

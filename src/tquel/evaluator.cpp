@@ -24,7 +24,7 @@ struct Candidate {
 // When the where clause pinned an indexed attribute to a constant
 // (`probes`), the secondary index supplies the candidates instead
 // of a scan; visibility is re-checked, and the full where clause still runs
-// afterwards.  Otherwise the relation's `Scan` entry point resolves the
+// afterwards.  Otherwise the relation's `BatchScan` entry point resolves the
 // spec's `as of` / valid windows to its best access path (snapshot index,
 // interval index, or a sweep).
 std::vector<Candidate> MaterializeParticipant(
@@ -59,30 +59,22 @@ std::vector<Candidate> MaterializeParticipant(
     }
   }
 
-  // Scan path.  With batch execution on, candidates arrive as columnar
-  // batches whose residual time predicates already ran through the
-  // branch-free kernels; the candidate periods are decoded from the batch's
-  // chronon columns (bit-identical to the tuples').  Snapshot scans are
-  // forced onto this path: the batch's tt_end column carries the
+  // Scan path: candidates arrive as columnar batches whose residual time
+  // predicates already ran through the branch-free kernels; the candidate
+  // periods are decoded from the batch's chronon columns (bit-identical to
+  // the tuples').  Under a snapshot the tt_end column carries the
   // *pin-effective* transaction ends, whereas the tuples' own `txn` fields
   // are written plainly by the single writer and must not be read from a
   // reader thread.
-  if (store->options().batch_exec || spec.snapshot.has_value()) {
-    VersionBatchScan scan = rel.BatchScan(spec);
-    VersionBatch batch;
-    while (scan.Next(&batch)) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        out.push_back(Candidate{
-            &batch.tuples[i]->values,
-            Period(Chronon(batch.valid_from[i]), Chronon(batch.valid_to[i])),
-            Period(Chronon(batch.tt_start[i]), Chronon(batch.tt_end[i]))});
-      }
+  VersionBatchScan scan = rel.BatchScan(spec);
+  VersionBatch batch;
+  while (scan.Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      out.push_back(Candidate{
+          &batch.tuples[i]->values,
+          Period(Chronon(batch.valid_from[i]), Chronon(batch.valid_to[i])),
+          Period(Chronon(batch.tt_start[i]), Chronon(batch.tt_end[i]))});
     }
-    return out;
-  }
-  VersionScan scan = rel.Scan(spec);
-  while (const BitemporalTuple* t = scan.Next()) {
-    out.push_back(Candidate{&t->values, t->valid, t->txn});
   }
   return out;
 }
@@ -363,30 +355,20 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
     if (ctx.snapshot != nullptr) {
       spec.snapshot = ctx.snapshot->PinFor(rel.store());
     }
-    // Snapshot probes use the batch path for the same reason as the
+    // Periods come from the batch columns for the same reason as in the
     // materializing scan above: pin-effective tt_end, no tuple-field reads.
-    if (rel.store()->options().batch_exec || spec.snapshot.has_value()) {
-      VersionBatchScan scan = rel.BatchScan(spec);
-      VersionBatch& batch = level_batch[i];
-      while (scan.Next(&batch)) {
-        for (size_t k = 0; k < batch.size(); ++k) {
-          const Candidate c{
-              &batch.tuples[k]->values,
-              Period(Chronon(batch.valid_from[k]), Chronon(batch.valid_to[k])),
-              Period(Chronon(batch.tt_start[k]), Chronon(batch.tt_end[k]))};
-          chosen[i] = &c;
-          valid_binding[i] = c.valid;
-          TDB_RETURN_IF_ERROR(enumerate(i + 1));
-        }
+    VersionBatchScan scan = rel.BatchScan(spec);
+    VersionBatch& batch = level_batch[i];
+    while (scan.Next(&batch)) {
+      for (size_t k = 0; k < batch.size(); ++k) {
+        const Candidate c{
+            &batch.tuples[k]->values,
+            Period(Chronon(batch.valid_from[k]), Chronon(batch.valid_to[k])),
+            Period(Chronon(batch.tt_start[k]), Chronon(batch.tt_end[k]))};
+        chosen[i] = &c;
+        valid_binding[i] = c.valid;
+        TDB_RETURN_IF_ERROR(enumerate(i + 1));
       }
-      return Status::OK();
-    }
-    VersionScan scan = rel.Scan(spec);
-    while (const BitemporalTuple* t = scan.Next()) {
-      const Candidate c{&t->values, t->valid, t->txn};
-      chosen[i] = &c;
-      valid_binding[i] = t->valid;
-      TDB_RETURN_IF_ERROR(enumerate(i + 1));
     }
     return Status::OK();
   };

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <thread>
 
+#include "tests/reference_eval.h"
 #include "tests/shadow_history.h"
 
 namespace temporadb {
@@ -51,13 +52,13 @@ Status WorkloadDriver::Setup() {
   if (!db.ok()) return db.status();
   db_ = std::move(*db);
 
-  // The shadow is the naive arm: unpartitioned, row-at-a-time, serial.
-  // It shares the attribute indexes (created by the workload DDL), so the
-  // DML where-clause probes stay cheap on both sides at full scale.
+  // The shadow is an independent, unpartitioned, serial replay of the DML
+  // stream: the deep checks compare its coalesced history to the
+  // primary's.  It shares the attribute indexes (created by the workload
+  // DDL), so the DML where-clause probes stay cheap on both sides.
   DatabaseOptions naive;
   naive.clock = shadow_clock_.get();
   naive.store_options.partition_rows = 0;
-  naive.store_options.batch_exec = false;
   Result<std::unique_ptr<Database>> sh = Database::Open(naive);
   if (!sh.ok()) return sh.status();
   shadow_ = std::move(*sh);
@@ -224,13 +225,11 @@ Status WorkloadDriver::RunSegment(size_t n_ops, size_t segment) {
   return st;
 }
 
-void WorkloadDriver::ConfigurePrimary(bool batch_exec, size_t threads) {
+void WorkloadDriver::ConfigurePrimary(size_t threads) {
   for (const RelationInfo& info : db_->ListRelations()) {
     Result<StoredRelation*> rel = db_->GetRelation(info.name);
     if (!rel.ok()) continue;
-    VersionStore* store = (*rel)->store();
-    store->ConfigureBatchExec(batch_exec, options_.store.batch_rows);
-    store->ConfigureParallel(threads > 1 ? pool_.get() : nullptr, 1);
+    (*rel)->store()->ConfigureParallel(threads > 1 ? pool_.get() : nullptr, 1);
   }
 }
 
@@ -240,7 +239,7 @@ void WorkloadDriver::ComparePath(const std::string& query,
                                  const std::string& path) {
   ++report_.oracle_paths_checked;
   if (want.ok() != got.ok()) {
-    Mismatch("status diverges on " + path + " [" + query + "]: shadow " +
+    Mismatch("status diverges on " + path + " [" + query + "]: reference " +
              (want.ok() ? "ok" : want.status().ToString()) + " vs primary " +
              (got.ok() ? "ok" : got.status().ToString()));
     return;
@@ -293,18 +292,22 @@ void WorkloadDriver::VerifySync(size_t sync_idx) {
     for (size_t k = 0; k < options_.queries_per_class; ++k) {
       const std::string query = MakeQuery(cls, &rng, options_.gen, horizon);
       ++report_.oracle_queries;
-      const Result<Rowset> want = shadow_->Query(query);
-      for (const bool batch : {false, true}) {
-        for (const size_t threads : {size_t{1}, n_threads}) {
-          ConfigurePrimary(batch, threads);
-          ComparePath(query, want, db_->Query(query),
-                      std::string(batch ? "batch" : "row") + "/t" +
-                          std::to_string(threads));
-        }
+      // The readers are joined: the reference sees the quiesced primary.
+      const Result<Rowset> want = testutil::ReferenceRetrieve(db_.get(), query);
+      ConfigurePrimary(1);
+      const Result<Rowset> serial = db_->Query(query);
+      ComparePath(query, want, serial, "direct/t1");
+      ConfigurePrimary(n_threads);
+      const Result<Rowset> parallel = db_->Query(query);
+      ComparePath(query, want, parallel,
+                  "direct/t" + std::to_string(n_threads));
+      // Thread counts must not even reorder rows.
+      if (serial.ok() && parallel.ok() && serial->rows() != parallel->rows()) {
+        Mismatch("row order diverges across thread counts [" + query + "]");
       }
       // Snapshot path: a fresh pin over the quiesced writer must equal the
-      // direct query (and the shadow).
-      ConfigurePrimary(options_.store.batch_exec, 1);
+      // reference too.
+      ConfigurePrimary(1);
       Result<ReadSnapshot> snap = db_->BeginReadSnapshot();
       if (!snap.ok()) {
         Mismatch("sync pin failed: " + snap.status().ToString());
@@ -314,7 +317,6 @@ void WorkloadDriver::VerifySync(size_t sync_idx) {
       }
     }
   }
-  ConfigurePrimary(options_.store.batch_exec, 1);
   if (options_.deep_check_every > 0 &&
       sync_idx % options_.deep_check_every == 0) {
     DeepCheck("sync " + std::to_string(sync_idx));

@@ -19,8 +19,8 @@ struct DriverOptions {
   WorkloadOptions gen;
 
   /// Store shape of the primary (system under test): partition size, batch
-  /// execution, time indexes.  The shadow always runs the naive arm —
-  /// unpartitioned, row-at-a-time, serial.
+  /// size, time indexes.  The shadow history is always unpartitioned and
+  /// serial.
   VersionStoreOptions store;
 
   /// DML ops between oracle sync points.
@@ -86,14 +86,14 @@ struct WorkloadReport {
 };
 
 /// The mixed-phase workload driver: one serialized writer applying the
-/// generator's stream to the primary *and* to an in-memory shadow history
-/// (the naive arm), while `reader_threads` concurrent snapshot readers
-/// issue audit sweeps, timeslice stabs, and when-joins through the MVCC
-/// pin path.  At every sync point the readers are quiesced and each query
-/// class is replayed against the shadow, demanding bit-identical rowsets
-/// across {row, batch} × {1, N} threads × the snapshot path; periodically
-/// the entire coalesced bitemporal content is compared.  Single-use: one
-/// `Run()` per driver.
+/// generator's stream to the primary *and* to an in-memory shadow history,
+/// while `reader_threads` concurrent snapshot readers issue audit sweeps,
+/// timeslice stabs, and when-joins through the MVCC pin path.  At every
+/// sync point the readers are quiesced and each query class is answered by
+/// the brute-force reference evaluator (tests/reference_eval.h) over the
+/// primary, demanding the same rowsets from {1, N} threads and the snapshot
+/// path; periodically the entire coalesced bitemporal content is compared
+/// with the shadow's.  Single-use: one `Run()` per driver.
 class WorkloadDriver {
  public:
   explicit WorkloadDriver(const DriverOptions& options);
@@ -122,7 +122,7 @@ class WorkloadDriver {
   void VerifySync(size_t sync_idx);
   void DeepCheck(const std::string& where);
   void CheckStatsIdentity(const std::string& where);
-  void ConfigurePrimary(bool batch_exec, size_t threads);
+  void ConfigurePrimary(size_t threads);
   void ComparePath(const std::string& query, const Result<Rowset>& want,
                    const Result<Rowset>& got, const std::string& path);
   void Mismatch(const std::string& what);

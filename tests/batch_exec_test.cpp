@@ -1,12 +1,14 @@
-// Vectorized execution differential: the batch path (columnar chronon
-// columns + selection-vector kernels) must be bit-identical to the
-// row-at-a-time path — at the version-store boundary (BatchScan* vs Scan*)
-// and through the full query stack (TQuel over all four temporal classes,
-// every clause combination, batch sizes {1, 7, 1024}, thread counts
-// {1, 2, 4, 8}).
+// Executor differential against the brute-force reference evaluator
+// (tests/reference_eval.h): every scan entry point, with the time indexes
+// on and off, at batch sizes {1, 7, 1024} and thread counts {0, 1, 2, 4, 8},
+// must yield exactly the versions `ReferenceScan` selects; every TQuel
+// clause combination over all four temporal classes must return exactly
+// the rows `ReferenceRetrieve` computes, in the same order; and pushing
+// time windows down (or not) must not change a query's answer.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,168 +18,232 @@
 #include "core/database.h"
 #include "exec/thread_pool.h"
 #include "temporal/version_store.h"
+#include "tests/reference_eval.h"
 #include "txn/clock.h"
 #include "txn/txn_manager.h"
 
 namespace temporadb {
 namespace {
 
-// --- Store-level differential: BatchScan* vs Scan* ------------------------
+using testutil::DrainScan;
+using testutil::ReferenceRetrieve;
+using testutil::ReferenceScan;
+using testutil::SameRows;
 
-class BatchVersionScanTest : public ::testing::Test {
- protected:
-  BatchVersionScanTest() : manager_(&clock_) {}
+// --- Store level: BatchScan* against ReferenceScan ------------------------
 
-  // Seeded random bitemporal history (appends with half-open or bounded
-  // valid periods, interleaved transaction-time closes), same chaos recipe
-  // as the parallel-scan differential.
-  void Populate(size_t n_ops, uint64_t seed) {
-    Random rng(seed);
-    int64_t day = 1000;
-    size_t op = 0;
-    while (op < n_ops) {
-      clock_.SetTime(Chronon(day));
-      Transaction* txn = *manager_.Begin();
-      size_t batch = 1 + rng.Uniform(50);
-      for (size_t i = 0; i < batch && op < n_ops; ++i, ++op) {
-        if (store_.version_count() > 10 && rng.OneIn(4)) {
-          RowId row = rng.Uniform(store_.version_count());
-          (void)store_.CloseTxn(txn, row, Chronon(day));
-        } else {
-          BitemporalTuple t;
-          t.values = {Value("e" + std::to_string(rng.Uniform(64))),
-                      Value(static_cast<int64_t>(rng.Uniform(100000)))};
-          int64_t from = 900 + static_cast<int64_t>(rng.Uniform(400));
-          t.valid = rng.OneIn(2)
-                        ? Period::From(Chronon(from))
-                        : Period(Chronon(from),
-                                 Chronon(from + 1 +
-                                         static_cast<int64_t>(
-                                             rng.Uniform(90))));
-          t.txn = Period::From(Chronon(day));
-          ASSERT_TRUE(store_.Append(txn, std::move(t)).ok());
-        }
-      }
-      ASSERT_TRUE(manager_.Commit(txn).ok());
-      day += 1 + static_cast<int64_t>(rng.Uniform(3));
-    }
-  }
-
-  using Sequence = std::vector<std::pair<RowId, BitemporalTuple>>;
-
-  static Sequence CollectRows(VersionScan scan) {
-    Sequence out;
-    RowId row = 0;
-    while (const BitemporalTuple* t = scan.Next(&row)) {
-      out.emplace_back(row, *t);
-    }
-    return out;
-  }
-
-  // Flattens a batch scan and checks the per-batch contract along the way:
-  // batches are never empty and the copied chronon columns agree with the
-  // surviving tuples' periods.
-  static Sequence CollectBatches(VersionBatchScan scan) {
-    Sequence out;
-    VersionBatch batch;
-    while (scan.Next(&batch)) {
-      EXPECT_FALSE(batch.empty()) << "batch scans must skip empty batches";
-      for (size_t i = 0; i < batch.size(); ++i) {
-        const BitemporalTuple& t = *batch.tuples[i];
-        EXPECT_EQ(batch.valid_from[i], t.valid.begin().days());
-        EXPECT_EQ(batch.valid_to[i], t.valid.end().days());
-        EXPECT_EQ(batch.tt_start[i], t.txn.begin().days());
-        EXPECT_EQ(batch.tt_end[i], t.txn.end().days());
-        out.emplace_back(batch.rows[i], t);
+// Seeded random bitemporal history: appends with half-open or bounded valid
+// periods, interleaved with transaction-time closes of random earlier rows
+// (failing on closed rows is part of the chaos).
+void PopulateStore(VersionStore* store, size_t n_ops, uint64_t seed) {
+  ManualClock clock;
+  TxnManager manager(&clock);
+  Random rng(seed);
+  int64_t day = 1000;
+  size_t op = 0;
+  while (op < n_ops) {
+    clock.SetTime(Chronon(day));
+    Transaction* txn = *manager.Begin();
+    size_t batch = 1 + rng.Uniform(50);
+    for (size_t i = 0; i < batch && op < n_ops; ++i, ++op) {
+      if (store->version_count() > 10 && rng.OneIn(4)) {
+        RowId row = rng.Uniform(store->version_count());
+        (void)store->CloseTxn(txn, row, Chronon(day));
+      } else {
+        BitemporalTuple t;
+        t.values = {Value("e" + std::to_string(rng.Uniform(64))),
+                    Value(static_cast<int64_t>(rng.Uniform(100000)))};
+        int64_t from = 900 + static_cast<int64_t>(rng.Uniform(400));
+        t.valid = rng.OneIn(2)
+                      ? Period::From(Chronon(from))
+                      : Period(Chronon(from),
+                               Chronon(from + 1 +
+                                       static_cast<int64_t>(rng.Uniform(90))));
+        t.txn = Period::From(Chronon(day));
+        ASSERT_TRUE(store->Append(txn, std::move(t)).ok());
       }
     }
-    return out;
+    ASSERT_TRUE(manager.Commit(txn).ok());
+    day += 1 + static_cast<int64_t>(rng.Uniform(3));
   }
+}
 
-  // Every probe shape, row path and batch path side by side.
-  Sequence RunRowProbes() {
-    Sequence all;
-    auto append = [&all](Sequence v) {
-      all.insert(all.end(), v.begin(), v.end());
-    };
-    append(CollectRows(store_.ScanAll()));
-    append(CollectRows(store_.ScanCurrent()));
-    append(CollectRows(store_.ScanAsOf(Chronon(1100))));
-    append(CollectRows(
-        store_.ScanTxnOverlapping(Period(Chronon(1050), Chronon(1200)))));
-    append(CollectRows(
-        store_.ScanValidDuring(Period(Chronon(1000), Chronon(1060)))));
-    append(CollectRows(store_.ScanValidDuring(
-        Period(Chronon(950), Chronon(1300)),
-        [](const BitemporalTuple& t) { return t.IsCurrentState(); })));
-    return all;
-  }
-
-  Sequence RunBatchProbes() {
-    Sequence all;
-    auto append = [&all](Sequence v) {
-      all.insert(all.end(), v.begin(), v.end());
-    };
-    append(CollectBatches(store_.BatchScanAll()));
-    append(CollectBatches(store_.BatchScanCurrent()));
-    append(CollectBatches(store_.BatchScanAsOf(Chronon(1100))));
-    append(CollectBatches(
-        store_.BatchScanTxnOverlapping(Period(Chronon(1050), Chronon(1200)))));
-    append(CollectBatches(
-        store_.BatchScanValidDuring(Period(Chronon(1000), Chronon(1060)))));
-    BatchPredicates current_only;
-    current_only.txn_current = true;
-    append(CollectBatches(store_.BatchScanValidDuring(
-        Period(Chronon(950), Chronon(1300)), current_only)));
-    return all;
-  }
-
-  void ExpectSameSequence(const Sequence& got, const Sequence& want,
-                          const std::string& label) {
-    ASSERT_EQ(got.size(), want.size()) << label;
-    for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].first, want[i].first) << label << ", position " << i;
-      ASSERT_TRUE(got[i].second == want[i].second)
-          << label << ", position " << i;
-    }
-  }
-
-  ManualClock clock_;
-  TxnManager manager_;
-  VersionStore store_;
+// One scan shape: an entry point and the predicates that define its answer.
+struct Probe {
+  const char* name;
+  BatchPredicates preds;
+  std::function<VersionBatchScan(const VersionStore&)> scan;
 };
 
-TEST_F(BatchVersionScanTest, BitIdenticalToRowScansAcrossBatchSizes) {
-  Populate(5000, /*seed=*/11);
-  Sequence baseline = RunRowProbes();
-  ASSERT_FALSE(baseline.empty());
-  for (size_t batch_rows : {1u, 7u, 1024u}) {
-    store_.ConfigureBatchExec(true, batch_rows);
-    ExpectSameSequence(RunBatchProbes(), baseline,
-                       "batch_rows=" + std::to_string(batch_rows));
-  }
+std::vector<Probe> Probes() {
+  const Chronon at(1100);
+  const Period txn_window(Chronon(1050), Chronon(1200));
+  const Period valid_window(Chronon(1000), Chronon(1060));
+  const Period wide(Chronon(950), Chronon(1300));
+  return {
+      {"all", {}, [](const VersionStore& s) { return s.BatchScanAll(); }},
+      {"current",
+       {.txn_current = true},
+       [](const VersionStore& s) { return s.BatchScanCurrent(); }},
+      {"as of",
+       {.txn_contains = at},
+       [at](const VersionStore& s) { return s.BatchScanAsOf(at); }},
+      {"txn overlapping",
+       {.txn_overlaps = txn_window},
+       [txn_window](const VersionStore& s) {
+         return s.BatchScanTxnOverlapping(txn_window);
+       }},
+      {"valid during",
+       {.valid_overlaps = valid_window},
+       [valid_window](const VersionStore& s) {
+         return s.BatchScanValidDuring(valid_window);
+       }},
+      {"valid during, current",
+       {.valid_overlaps = wide, .txn_current = true},
+       [wide](const VersionStore& s) {
+         return s.BatchScanValidDuring(wide, {.txn_current = true});
+       }},
+      {"as of, valid residual",
+       {.valid_overlaps = valid_window, .txn_contains = at},
+       [at, valid_window](const VersionStore& s) {
+         return s.BatchScanAsOf(at, {.valid_overlaps = valid_window});
+       }},
+  };
 }
 
-TEST_F(BatchVersionScanTest, BitIdenticalAcrossThreadCountsAndBatchSizes) {
-  Populate(5000, /*seed=*/23);
-  store_.ConfigureParallel(nullptr);
-  Sequence baseline = RunRowProbes();
-  ASSERT_FALSE(baseline.empty());
-  for (size_t batch_rows : {1u, 7u, 1024u}) {
-    store_.ConfigureBatchExec(true, batch_rows);
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      exec::ThreadPool pool(threads);
-      // min_rows=1 forces the morsel path even for tiny candidate sets.
-      store_.ConfigureParallel(&pool, /*min_rows=*/1);
-      ExpectSameSequence(RunBatchProbes(), baseline,
-                         "batch_rows=" + std::to_string(batch_rows) + " " +
-                             std::to_string(threads) + " threads");
-      store_.ConfigureParallel(nullptr);
+void ExpectMatchesReference(VersionBatchScan scan, const VersionStore& store,
+                            const BatchPredicates& preds,
+                            const std::string& label) {
+  std::string diff;
+  EXPECT_TRUE(SameRows(DrainScan(std::move(scan)), ReferenceScan(store, preds),
+                       &diff))
+      << label << ": " << diff;
+}
+
+TEST(BatchScanReferenceTest, EveryEntryPointMatchesAcrossBatchSizesAndThreads) {
+  for (bool indexed : {true, false}) {
+    VersionStoreOptions options;
+    options.index_valid_time = indexed;
+    options.index_txn_time = indexed;
+    VersionStore store(options);
+    PopulateStore(&store, 5000, /*seed=*/11);
+    ASSERT_FALSE(HasFatalFailure());
+    ASSERT_GT(ReferenceScan(store, {.valid_overlaps = Period(
+                                        Chronon(1000), Chronon(1060))})
+                  .size(),
+              10u);
+    for (size_t batch_rows : {1u, 7u, 1024u}) {
+      store.ConfigureBatchRows(batch_rows);
+      // 0: no pool at all; otherwise min_rows=1 forces the morsel path even
+      // for tiny candidate sets.
+      for (size_t threads : {0u, 1u, 2u, 4u, 8u}) {
+        std::unique_ptr<exec::ThreadPool> pool;
+        if (threads > 0) pool = std::make_unique<exec::ThreadPool>(threads);
+        store.ConfigureParallel(pool.get(), 1);
+        for (const Probe& p : Probes()) {
+          const std::string label =
+              std::string(p.name) + (indexed ? ", indexed" : ", swept") +
+              ", batch_rows=" + std::to_string(batch_rows) +
+              ", threads=" + std::to_string(threads);
+          ExpectMatchesReference(p.scan(store), store, p.preds, label);
+          VersionBatchScan scan = p.scan(store);
+          VersionBatch batch;
+          while (scan.Next(&batch)) {
+            ASSERT_FALSE(batch.empty()) << label;
+            ASSERT_LE(batch.size(), batch_rows) << label;
+          }
+        }
+        store.ConfigureParallel(nullptr);
+      }
     }
   }
 }
 
-// --- Full-stack differential: TQuel over every temporal class -------------
+// Grows a randomized bitemporal history through the relation API:
+// retroactive appends mixed with logical deletes and replaces, the clock
+// advancing between transactions.
+void GrowRandomHistory(Database* db, ManualClock* clock, StoredRelation* rel,
+                       uint64_t seed, int steps) {
+  Random rng(seed);
+  for (int step = 0; step < steps; ++step) {
+    clock->AdvanceDays(static_cast<int64_t>(rng.UniformRange(1, 4)));
+    Status s = db->WithTransaction([&](Transaction* txn) -> Status {
+      uint64_t op = rng.Uniform(3);
+      if (op == 0 || rel->store()->live_count() < 6) {
+        int64_t from = rng.UniformRange(0, 400);
+        int64_t len = rng.UniformRange(1, 90);
+        return rel->Append(
+            txn, {Value(rng.NextName(4)), Value(rng.UniformRange(0, 5))},
+            Period(Chronon(from), Chronon(from + len)));
+      }
+      const int64_t pivot = rng.UniformRange(0, 5);
+      TuplePredicate pred = [pivot](const std::vector<Value>& v) {
+        return v[1].AsInt() == pivot;
+      };
+      if (op == 1) {
+        return rel->DeleteWhere(txn, pred, std::nullopt).status();
+      }
+      UpdateSpec updates{ConstUpdate(1, Value(rng.UniformRange(0, 5)))};
+      return rel->ReplaceWhere(txn, pred, updates, std::nullopt).status();
+    });
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+}
+
+TEST(PushdownEquivalence, IndexedScansMatchReferenceOnRandomHistories) {
+  for (uint64_t seed : {1u, 7u, 42u}) {
+    for (bool indexed : {true, false}) {
+      ManualClock clock{Chronon(0)};
+      DatabaseOptions options;
+      options.clock = &clock;
+      options.store_options.index_valid_time = indexed;
+      options.store_options.index_txn_time = indexed;
+      std::unique_ptr<Database> db = std::move(*Database::Open(options));
+      ASSERT_TRUE(
+          db->Execute("create temporal relation h (name = string, n = int)")
+              .ok());
+      StoredRelation* rel = *db->GetRelation("h");
+      GrowRandomHistory(db.get(), &clock, rel, seed, 120);
+      const VersionStore& store = *rel->store();
+      Random rng(seed * 1000 + (indexed ? 1 : 0));
+      for (int trial = 0; trial < 25; ++trial) {
+        const Chronon t(rng.UniformRange(0, 500));
+        const int64_t qb = rng.UniformRange(0, 450);
+        const Period q(Chronon(qb), Chronon(qb + rng.UniformRange(1, 60)));
+        ExpectMatchesReference(store.BatchScanAsOf(t), store,
+                               {.txn_contains = t}, "as of " + t.ToString());
+        ExpectMatchesReference(store.BatchScanTxnOverlapping(q), store,
+                               {.txn_overlaps = q},
+                               "txn overlapping " + q.ToString());
+        ExpectMatchesReference(store.BatchScanValidDuring(q), store,
+                               {.valid_overlaps = q},
+                               "valid during " + q.ToString());
+      }
+      ExpectMatchesReference(store.BatchScanCurrent(), store,
+                             {.txn_current = true}, "current");
+    }
+  }
+}
+
+TEST(PushdownEquivalence, RelationScanIgnoresWindowsItCannotUse) {
+  ManualClock clock{Chronon(0)};
+  DatabaseOptions options;
+  options.clock = &clock;
+  std::unique_ptr<Database> db = std::move(*Database::Open(options));
+  ASSERT_TRUE(db->Execute("create relation s (n = int)").ok());
+  StoredRelation* rel = *db->GetRelation("s");
+  ASSERT_TRUE(db->WithTransaction([&](Transaction* txn) {
+                  return rel->Append(txn, {Value(int64_t{1})}, std::nullopt);
+                }).ok());
+  ScanSpec spec;
+  spec.asof = Period::At(Chronon(100));
+  spec.valid_during = Period(Chronon(0), Chronon(1));
+  // A static relation has no time to slice by; the windows must not drop
+  // its (timeless) tuples.
+  EXPECT_EQ(DrainScan(rel->BatchScan(spec)).size(), 1u);
+}
+
+// --- Query level: TQuel over every temporal class --------------------------
 
 // Builds a database holding one relation of each temporal class, populated
 // by the same seeded script (appends with randomized valid periods plus
@@ -253,6 +319,9 @@ std::vector<std::string> AllClauseQueries() {
   const std::string kValid = " valid from \"" + Chronon(3950).ToString() +
                              "\" to \"" + Chronon(4150).ToString() + "\"";
   const std::string kAsOf = " as of \"" + Chronon(4180).ToString() + "\"";
+  const std::string kThrough = " as of \"" + Chronon(4100).ToString() +
+                               "\" through \"" + Chronon(4200).ToString() +
+                               "\"";
   const std::string kWhere = " where $.n < 500";
   std::vector<std::string> queries;
   auto add = [&queries](char var, const std::string& clauses) {
@@ -275,6 +344,7 @@ std::vector<std::string> AllClauseQueries() {
   add('r', kWhere);
   add('r', kAsOf);
   add('r', kWhere + kAsOf);
+  add('r', kThrough);
   // Historical: adds when and valid.
   add('h', "");
   add('h', kWhere);
@@ -289,42 +359,28 @@ std::vector<std::string> AllClauseQueries() {
   add('b', kWhen);
   add('b', kValid);
   add('b', kAsOf);
+  add('b', kThrough);
   add('b', kWhere + kWhen);
   add('b', kWhen + kAsOf);
   add('b', kValid + kWhen + kAsOf);
   add('b', kWhere + kValid + kWhen + kAsOf);
-  // A when-join across classes (sequential-valued batch cross product).
+  // When-joins across classes: a dynamic (index-nested-loop) inner side,
+  // and one under a rollback window.
   queries.push_back(
       "retrieve (h.name, b.n) where h.name = b.name when h overlap b");
+  queries.push_back("retrieve (x = b.name, y = r.name) where b.n < r.n" +
+                    kAsOf);
   return queries;
 }
 
-TEST(BatchDatabaseTest, QueriesMatchRowPathAcrossBatchSizesAndThreads) {
-  ManualClock clock_row;
-  VersionStoreOptions row_options;
-  row_options.batch_exec = false;
-  std::unique_ptr<Database> row_db =
-      BuildFourClassDb(&clock_row, row_options, /*max_threads=*/1);
-
+TEST(BatchDatabaseTest, QueriesMatchReferenceAcrossBatchSizesAndThreads) {
   const std::vector<std::string> queries = AllClauseQueries();
-
-  // Baseline results from the row-at-a-time path.
-  std::vector<Rowset> baseline;
-  size_t nonempty = 0;
-  for (const std::string& q : queries) {
-    Result<Rowset> r = row_db->Query(q);
-    ASSERT_TRUE(r.ok()) << q << ": " << r.status().message();
-    if (r->size() > 0) ++nonempty;
-    baseline.push_back(std::move(*r));
-  }
-  // The sweep must actually exercise data, not vacuous empties.
-  ASSERT_GT(nonempty, queries.size() / 2);
-
   for (size_t batch_rows : {1u, 7u, 1024u}) {
     for (size_t threads : {1u, 2u, 4u, 8u}) {
+      const std::string label = " (batch_rows=" + std::to_string(batch_rows) +
+                                ", threads=" + std::to_string(threads) + ")";
       ManualClock clock;
       VersionStoreOptions options;
-      options.batch_exec = true;
       options.batch_rows = batch_rows;
       if (threads > 1) {
         options.parallel_scan = true;
@@ -332,20 +388,156 @@ TEST(BatchDatabaseTest, QueriesMatchRowPathAcrossBatchSizesAndThreads) {
       }
       std::unique_ptr<Database> db =
           BuildFourClassDb(&clock, options, threads);
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        const std::string& q = queries[qi];
+      size_t nonempty = 0;
+      for (const std::string& q : queries) {
+        Result<Rowset> want = ReferenceRetrieve(db.get(), q);
+        ASSERT_TRUE(want.ok()) << q << ": " << want.status().ToString();
+        if (want->size() > 0) ++nonempty;
         Result<Rowset> got = db->Query(q);
-        ASSERT_TRUE(got.ok()) << q << ": " << got.status().message();
-        ASSERT_EQ(got->size(), baseline[qi].size())
-            << q << " (batch_rows=" << batch_rows << ", threads=" << threads
-            << ")";
-        for (size_t i = 0; i < got->size(); ++i) {
-          ASSERT_TRUE(got->rows()[i] == baseline[qi].rows()[i])
-              << q << " row " << i << " (batch_rows=" << batch_rows
-              << ", threads=" << threads << ")";
-        }
+        ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+        std::string diff;
+        EXPECT_TRUE(SameRows(*got, *want, &diff)) << q << label << ": " << diff;
       }
+      // The sweep must actually exercise data, not vacuous empties.
+      ASSERT_GT(nonempty, queries.size() / 2);
     }
+  }
+}
+
+// --- Query level: pushdown on, pushdown off, and the reference ------------
+
+// Two databases fed the same statements, one pushing time windows into the
+// scans and one filtering above them.  Both must render identically (same
+// rows, same order, same periods) and equal the reference.
+class QueryPair {
+ public:
+  explicit QueryPair(bool with_indexes = true) {
+    for (int i = 0; i < 2; ++i) {
+      DatabaseOptions options;
+      options.clock = &clock_;
+      options.store_options.time_pushdown = (i == 0);
+      options.store_options.index_valid_time = with_indexes;
+      options.store_options.index_txn_time = with_indexes;
+      db_[i] = std::move(*Database::Open(options));
+    }
+  }
+
+  void Exec(const std::string& source) {
+    for (auto& db : db_) {
+      Result<tquel::ExecResult> r = db->Execute(source);
+      ASSERT_TRUE(r.ok()) << source << ": " << r.status().ToString();
+    }
+  }
+
+  void ExpectSameRows(const std::string& query) {
+    Result<Rowset> on = db_[0]->Query(query);
+    Result<Rowset> off = db_[1]->Query(query);
+    Result<Rowset> want = ReferenceRetrieve(db_[0].get(), query);
+    ASSERT_TRUE(on.ok()) << query << ": " << on.status().ToString();
+    ASSERT_TRUE(off.ok()) << query << ": " << off.status().ToString();
+    ASSERT_TRUE(want.ok()) << query << ": " << want.status().ToString();
+    EXPECT_EQ(on->Render(), off->Render()) << query;
+    std::string diff;
+    EXPECT_TRUE(SameRows(*on, *want, &diff)) << query << ": " << diff;
+  }
+
+  ManualClock clock_{Chronon(0)};
+  std::unique_ptr<Database> db_[2];
+};
+
+TEST(PushdownEquivalence, TemporalQueriesMatchWithPushdownOff) {
+  QueryPair pair;
+  ASSERT_TRUE(pair.clock_.SetDate("01/01/80").ok());
+  pair.Exec("create temporal relation faculty (name = string, rank = string)");
+  pair.Exec(
+      "append to faculty (name = \"jane\", rank = \"assistant\") "
+      "valid from \"09/01/77\" to \"12/01/82\"");
+  ASSERT_TRUE(pair.clock_.SetDate("06/01/81").ok());
+  pair.Exec(
+      "append to faculty (name = \"merrie\", rank = \"associate\") "
+      "valid from \"06/01/81\" to \"09/01/84\"");
+  ASSERT_TRUE(pair.clock_.SetDate("12/15/82").ok());
+  pair.Exec("range of f is faculty");
+  pair.Exec("range of g is faculty");
+  pair.Exec("replace f (rank = \"full\") where f.name = \"jane\"");
+
+  pair.ExpectSameRows("retrieve (f.name, f.rank)");
+  pair.ExpectSameRows("retrieve (f.name) as of \"06/01/81\"");
+  pair.ExpectSameRows(
+      "retrieve (f.name) as of \"06/01/81\" through \"12/31/82\"");
+  pair.ExpectSameRows(
+      "retrieve (f.name, f.rank) when f overlap \"01/01/80\"");
+  pair.ExpectSameRows(
+      "retrieve (f.name) when f precede \"01/01/84\"");
+  pair.ExpectSameRows(
+      "retrieve (f.name) when \"01/01/78\" precede f");
+  // Dynamic windows: the inner participant's window depends on the outer
+  // tuple (index-nested-loop when-join).
+  pair.ExpectSameRows(
+      "retrieve (a = f.name, b = g.name) when f overlap g");
+  pair.ExpectSameRows(
+      "retrieve (a = f.name, b = g.name) where f.name != g.name "
+      "when f overlap g as of \"06/01/82\"");
+  pair.ExpectSameRows(
+      "retrieve (a = f.name, b = g.name) when f overlap g or f precede g");
+  pair.ExpectSameRows(
+      "retrieve (a = f.name, b = g.name) when not (f precede g)");
+  pair.ExpectSameRows(
+      "retrieve (f.name) valid from begin of f to end of f "
+      "when f overlap \"06/01/81\"");
+}
+
+TEST(PushdownEquivalence, HistoricalQueriesMatchWithPushdownOff) {
+  // The same when-queries against a historical relation, with and without
+  // interval indexes, to cover the fallback paths.
+  for (bool indexed : {true, false}) {
+    QueryPair pair(indexed);
+    ASSERT_TRUE(pair.clock_.SetDate("01/01/80").ok());
+    pair.Exec("create historical relation h (name = string)");
+    pair.Exec(
+        "append to h (name = \"a\") valid from \"01/01/79\" to \"01/01/81\"");
+    pair.Exec(
+        "append to h (name = \"b\") valid from \"06/01/80\" to \"06/01/83\"");
+    pair.Exec(
+        "append to h (name = \"c\") valid from \"01/01/84\" to \"01/01/85\"");
+    pair.Exec("range of x is h");
+    pair.Exec("range of y is h");
+
+    pair.ExpectSameRows("retrieve (x.name)");
+    pair.ExpectSameRows("retrieve (x.name) when x overlap \"07/01/80\"");
+    pair.ExpectSameRows("retrieve (x.name) when x precede \"01/01/83\"");
+    pair.ExpectSameRows("retrieve (a = x.name, b = y.name) when x overlap y");
+    pair.ExpectSameRows(
+        "retrieve (a = x.name, b = y.name) when x precede y and y overlap "
+        "\"06/01/84\"");
+  }
+}
+
+TEST(PushdownEquivalence, RandomizedQueriesMatchWithPushdownOff) {
+  for (uint64_t seed : {3u, 11u}) {
+    QueryPair pair;
+    StoredRelation* rels[2];
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(pair.db_[i]
+                      ->Execute(
+                          "create temporal relation h (name = string, "
+                          "n = int)")
+                      .ok());
+      rels[i] = *pair.db_[i]->GetRelation("h");
+    }
+    // Grow the SAME history on both sides (same seed, same clock steps —
+    // reset the clock between the two replays).
+    for (int i = 0; i < 2; ++i) {
+      pair.clock_.SetTime(Chronon(0));
+      GrowRandomHistory(pair.db_[i].get(), &pair.clock_, rels[i], seed, 100);
+    }
+    pair.Exec("range of u is h");
+    pair.Exec("range of v is h");
+    pair.ExpectSameRows("retrieve (u.name, u.n)");
+    pair.ExpectSameRows("retrieve (u.name) when u overlap \"06/01/70\"");
+    pair.ExpectSameRows("retrieve (u.name, v.n) when u overlap v");
+    pair.ExpectSameRows(
+        "retrieve (u.name) as of \"03/01/70\" through \"09/01/70\"");
   }
 }
 

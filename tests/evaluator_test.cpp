@@ -225,6 +225,49 @@ TEST_F(EvaluatorTest, DmlErrorsInsidePredicatesPropagate) {
 // statement's outcome: a where clause that fails on some row fails whether
 // the relation is indexed or not, and whether the retrieve runs directly
 // (which may probe) or at a snapshot (which never does).
+TEST_F(EvaluatorTest, IndexProbeNeverHidesAnIntegerOverflow) {
+  // Integer arithmetic can overflow, so a where clause holding any is not
+  // "cannot fail": the indexed direct path, the snapshot path and an
+  // unindexed relation must agree status for status.
+  for (const char* rel : {"ix", "ux"}) {
+    ASSERT_TRUE(ExecOk(std::string("create relation ") + rel +
+                       " (k = int, n = int)")
+                    .ok());
+    for (const char* row :
+         {"(k = 1, n = 9223372036854775807)", "(k = 2, n = 5)"}) {
+      ASSERT_TRUE(ExecOk(std::string("append to ") + rel + " " + row).ok());
+    }
+  }
+  ASSERT_TRUE(ExecOk("create index on ix (k)").ok());
+  ASSERT_TRUE(ExecOk("range of x is ix").ok());
+  ASSERT_TRUE(ExecOk("range of y is ux").ok());
+  for (const char* where : {"@.k = 1 and @.n + 1 > 0",
+                            "@.k = 999 and 9223372036854775807 + 1 > 0",
+                            "9223372036854775807 * 2 > 0 and @.k = 2",
+                            "@.k = 2 and @.n - 1 > 0"}) {
+    SCOPED_TRACE(where);
+    std::string query = std::string("retrieve (@.k) where ") + where;
+    auto on = [&query](char var) {
+      std::string out = query;
+      for (char& c : out) {
+        if (c == '@') c = var;
+      }
+      return out;
+    };
+    Result<Rowset> direct = db_->Query(on('x'));
+    Result<ReadSnapshot> snap = db_->BeginReadSnapshot();
+    ASSERT_TRUE(snap.ok());
+    Result<Rowset> pinned = db_->QueryAtSnapshot(*snap, on('x'));
+    Result<Rowset> unindexed = db_->Query(on('y'));
+    EXPECT_EQ(direct.status().code(), unindexed.status().code());
+    EXPECT_EQ(pinned.status().code(), unindexed.status().code());
+    if (direct.ok() && pinned.ok() && unindexed.ok()) {
+      EXPECT_EQ(direct->size(), unindexed->size());
+      EXPECT_EQ(pinned->size(), unindexed->size());
+    }
+  }
+}
+
 TEST_F(EvaluatorTest, IndexProbeNeverHidesAnEvaluationError) {
   for (const char* rel : {"sal", "usal"}) {
     ASSERT_TRUE(ExecOk(std::string("create temporal relation ") + rel +

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace temporadb {
 namespace {
 
@@ -54,6 +56,26 @@ TEST(Expression, IntArithmetic) {
   EXPECT_EQ(arith(ArithOp::kMod, 7, 2)->AsInt(), 1);
   EXPECT_FALSE(arith(ArithOp::kDiv, 1, 0).ok());
   EXPECT_FALSE(arith(ArithOp::kMod, 1, 0).ok());
+}
+
+TEST(Expression, IntOverflowIsAnError) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  auto arith = [&](ArithOp op, int64_t l, int64_t r) {
+    return MakeArith(op, MakeLiteral(Value(l)), MakeLiteral(Value(r)))
+        ->Eval({});
+  };
+  for (const Result<Value>& r :
+       {arith(ArithOp::kAdd, kMax, 1), arith(ArithOp::kSub, kMin, 1),
+        arith(ArithOp::kMul, kMax, 2), arith(ArithOp::kDiv, kMin, -1)}) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(r.status().message(), "integer overflow");
+  }
+  // The edges themselves still evaluate.
+  EXPECT_EQ(arith(ArithOp::kAdd, kMax - 1, 1)->AsInt(), kMax);
+  EXPECT_EQ(arith(ArithOp::kSub, kMin + 1, 1)->AsInt(), kMin);
+  EXPECT_EQ(arith(ArithOp::kMod, kMin, -1)->AsInt(), 0);
 }
 
 TEST(Expression, FloatArithmeticPromotes) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "tests/reference_eval.h"
 
 namespace temporadb {
 namespace {
@@ -89,6 +90,10 @@ TEST_F(MvccTest, PinnedReadersAreBitIdenticalDuringConcurrentCommits) {
   Result<Rowset> baseline = db->QueryAtSnapshot(*snap, query);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   ASSERT_GT(baseline->size(), 0u);
+  // The writer is still quiesced: the pinned view is the reference's.
+  Result<Rowset> want = testutil::ReferenceRetrieve(db.get(), query);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_TRUE(Rowset::SameContent(*baseline, *want));
   const Chronon pin_ts = snap->timestamp();
 
   // Single writer thread: sustained committed appends and deletes, each
@@ -271,8 +276,8 @@ TEST_F(MvccTest, InPlaceRewritesAreFencedWhileSnapshotsArePinned) {
 
 // ---------------------------------------------------------------------------
 // Differential: chronon columns mirror the slots exactly across physical
-// corrections, tombstone compaction, and reopen-from-WAL; row-mode and
-// batch-mode scans agree at 1 and 4 scan threads.
+// corrections, tombstone compaction, and reopen-from-WAL; queries at 1 and
+// 4 scan threads agree with the reference evaluator.
 // ---------------------------------------------------------------------------
 
 // Asserts every chronon column entry equals the corresponding slot field.
@@ -339,45 +344,39 @@ TEST_F(MvccTest, ColumnsMirrorSlotsAcrossCorrectionsCompactionAndReopen) {
     ASSERT_TRUE(db->Execute("append to t (name = \"late\")").ok());
   }  // "Crash": reopen loads the checkpoint and replays the WAL tail.
 
-  // Reopen at scan-thread counts {1, 4}, row-mode and batch-mode, and check
-  // that every configuration sees identical content and synced columns.
-  std::optional<Rowset> reference_h, reference_t;
+  // Reopen at scan-thread counts {1, 4} and check that every configuration
+  // sees synced columns and the reference's content.
+  const std::string queries[] = {
+      "retrieve (x.name)",
+      "retrieve (y.name) as of \"" + Date(clock_.Now()).ToString() + "\""};
   for (int threads : {1, 4}) {
-    for (bool batch : {false, true}) {
-      DatabaseOptions options = base;
-      options.store_options.batch_exec = batch;
-      options.store_options.parallel_scan = threads > 1;
-      options.max_threads = threads;
-      auto db = Open(options);
-      ExpectColumnsMirrorSlots((*db->GetRelation("h"))->store());
-      ExpectColumnsMirrorSlots((*db->GetRelation("t"))->store());
-      ASSERT_TRUE(db->Execute("range of x is h").ok());
-      ASSERT_TRUE(db->Execute("range of y is t").ok());
-      Result<Rowset> h = db->Query("retrieve (x.name)");
-      Result<Rowset> t = db->Query(
-          "retrieve (y.name) as of \"" + Date(clock_.Now()).ToString() +
-          "\"");
-      ASSERT_TRUE(h.ok()) << h.status().ToString();
-      ASSERT_TRUE(t.ok()) << t.status().ToString();
-      if (!reference_h.has_value()) {
-        reference_h = *h;
-        reference_t = *t;
-        continue;
-      }
-      EXPECT_TRUE(Rowset::SameContent(*h, *reference_h))
-          << "threads=" << threads << " batch=" << batch;
-      EXPECT_TRUE(Rowset::SameContent(*t, *reference_t))
-          << "threads=" << threads << " batch=" << batch;
+    DatabaseOptions options = base;
+    options.store_options.parallel_scan = threads > 1;
+    options.max_threads = threads;
+    auto db = Open(options);
+    ExpectColumnsMirrorSlots((*db->GetRelation("h"))->store());
+    ExpectColumnsMirrorSlots((*db->GetRelation("t"))->store());
+    ASSERT_TRUE(db->Execute("range of x is h").ok());
+    ASSERT_TRUE(db->Execute("range of y is t").ok());
+    for (const std::string& q : queries) {
+      Result<Rowset> got = db->Query(q);
+      Result<Rowset> want = testutil::ReferenceRetrieve(db.get(), q);
+      ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << q << ": " << want.status().ToString();
+      ASSERT_GT(want->size(), 0u) << q;
+      std::string diff;
+      EXPECT_TRUE(testutil::SameRows(*got, *want, &diff))
+          << q << ", threads=" << threads << ": " << diff;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Store-level parity: the row-mode snapshot scan and the batch-mode snapshot
-// scan yield exactly the same row sequence.
+// Store level: a snapshot scan returns what the reference selected when the
+// pin was taken, however many versions the writer closes afterwards.
 // ---------------------------------------------------------------------------
 
-TEST_F(MvccTest, RowAndBatchSnapshotScansAgree) {
+TEST_F(MvccTest, SnapshotScanKeepsTheReferenceAnswerAtThePin) {
   auto db = Open();
   ASSERT_TRUE(
       db->Execute("create temporal relation t (name = string)").ok());
@@ -401,22 +400,23 @@ TEST_F(MvccTest, RowAndBatchSnapshotScansAgree) {
 
   BatchPredicates preds;
   preds.txn_current = true;
-  std::vector<const BitemporalTuple*> row_mode;
-  VersionScan scan = store->ScanSnapshot(pin, preds);
-  while (const BitemporalTuple* t = scan.Next()) row_mode.push_back(t);
-
-  std::vector<const BitemporalTuple*> batch_mode;
-  VersionBatchScan bscan = store->BatchScanSnapshot(pin, preds);
-  VersionBatch batch;
-  while (bscan.Next(&batch)) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      batch_mode.push_back(batch.tuples[i]);
-    }
-  }
-  EXPECT_EQ(row_mode, batch_mode);
+  const testutil::ReferenceRows want = testutil::ReferenceScan(*store, preds);
   // 300 appends + 50 truncated replacement versions (the 10 deletes of
   // rows appended "today" close without a replacement), minus 60 closes.
-  EXPECT_EQ(row_mode.size(), 290u);
+  EXPECT_EQ(want.size(), 290u);
+
+  // Post-pin closes rewrite tt_end in place; the pinned scan must still
+  // report every version as current.
+  clock_.AdvanceDays(1);
+  for (int i = 1; i < 300; i += 7) {
+    ASSERT_TRUE(db->Execute("delete x where x.name = \"n" +
+                            std::to_string(i) + "\"")
+                    .ok());
+  }
+  std::string diff;
+  EXPECT_TRUE(testutil::SameRows(
+      testutil::DrainScan(store->BatchScanSnapshot(pin, preds)), want, &diff))
+      << diff;
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "rel/batch_cursor.h"
+
 namespace temporadb {
 namespace {
 
@@ -147,6 +149,52 @@ TEST(Operators, CrossProductClassMeet) {
   // historical x static = static (the meet).
   EXPECT_EQ(out->temporal_class(), TemporalClass::kStatic);
   EXPECT_FALSE(out->rows()[0].valid.has_value());
+}
+
+TEST(Operators, CrossProductRejectsClassesWithoutMeet) {
+  // Rollback maintains only transaction time, historical only valid time:
+  // their product has no class that keeps either dimension.
+  Rowset r(NV(), TemporalClass::kRollback);
+  Row row;
+  row.values = {Value("a"), Value(int64_t{1})};
+  row.txn = Period(Chronon(0), Chronon(10));
+  ASSERT_TRUE(r.AddRow(std::move(row)).ok());
+  Rowset h = MakeHistorical({{"x", 7, 5, 25}});
+  Result<Rowset> product = CrossProduct(r, h);
+  ASSERT_FALSE(product.ok());
+  EXPECT_EQ(product.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(HasMeetClass(TemporalClass::kTemporal, TemporalClass::kRollback));
+  EXPECT_TRUE(
+      HasMeetClass(TemporalClass::kTemporal, TemporalClass::kHistorical));
+  EXPECT_FALSE(
+      HasMeetClass(TemporalClass::kRollback, TemporalClass::kHistorical));
+}
+
+TEST(Operators, ComposedBatchPipelineMatchesNestedCalls) {
+  // select(value >= 2) |> project(name) |> distinct |> sort, composed as one
+  // batch cursor tree with no intermediate rowsets, equals the nested
+  // materializing calls.
+  Rowset input = MakeStatic({{"c", 3}, {"a", 1}, {"b", 2}, {"c", 3}});
+  ExprPtr pred = MakeCompare(CompareOp::kGe, MakeColumnRef(1, "value"),
+                             MakeLiteral(Value(int64_t{2})));
+  std::vector<ExprPtr> exprs{MakeColumnRef(0, "name")};
+  std::vector<std::string> names{"name"};
+  BatchCursorPtr tree = MakeBatchSortCursor(
+      MakeBatchDistinctCursor(MakeBatchProjectCursor(
+          MakeBatchSelectCursor(MakeRowsetBatchCursor(&input, 1), pred.get()),
+          &exprs, names)),
+      {0});
+  Result<Rowset> streamed = MaterializeBatchCursor(tree.get());
+  ASSERT_TRUE(streamed.ok());
+
+  Result<Rowset> selected = Select(input, *pred);
+  ASSERT_TRUE(selected.ok());
+  Result<Rowset> projected = Project(*selected, exprs, names);
+  ASSERT_TRUE(projected.ok());
+  Result<Rowset> sorted = SortBy(Distinct(*projected), {0});
+  ASSERT_TRUE(sorted.ok());
+  EXPECT_EQ(streamed->Render(), sorted->Render());
+  EXPECT_EQ(streamed->size(), 2u);
 }
 
 TEST(Operators, EmptyInputs) {

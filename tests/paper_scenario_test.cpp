@@ -2,6 +2,8 @@
 // relation driven through the full stack (TQuel text -> parser -> analyzer
 // -> relation kinds -> version store), checked tuple-for-tuple against
 // Figures 2, 4, 6, 8 and 9 and query-for-query against the paper's answers.
+// Every figure query is asked of the engine and of the brute-force reference
+// evaluator (tests/reference_eval.h): both must print the paper's answer.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include "core/database.h"
 #include "core/paper_scenario.h"
 #include "temporal/snapshot.h"
+#include "tests/reference_eval.h"
 
 namespace temporadb {
 namespace {
@@ -25,6 +28,15 @@ Period P(const char* from, const char* to) {
 }
 
 Period From(const char* from) { return Period::From(Day(from)); }
+
+// The answers of the engine and of the reference evaluator to `query`.
+std::vector<std::pair<std::string, Result<Rowset>>> Ask(
+    Database* db, const std::string& query) {
+  std::vector<std::pair<std::string, Result<Rowset>>> out;
+  out.emplace_back("engine", db->Query(query));
+  out.emplace_back("reference", testutil::ReferenceRetrieve(db, query));
+  return out;
+}
 
 // A row of a figure: explicit values + the two periods.
 struct FigureRow {
@@ -67,14 +79,16 @@ TEST(PaperScenario, Figure2StaticRelationAndQuelQuery) {
 
   // The paper's Quel query: Merrie's rank.
   (*db)->Execute("range of f is faculty").status();
-  Result<Rowset> result = (*db)->Query(
-      "retrieve (f.rank) where f.name = \"Merrie\"");
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->size(), 1u);
-  EXPECT_EQ(result->rows()[0].values[0].AsString(), "full");
-  EXPECT_EQ(result->temporal_class(), TemporalClass::kStatic);
-  EXPECT_FALSE(result->rows()[0].valid.has_value());
-  EXPECT_FALSE(result->rows()[0].txn.has_value());
+  for (auto& [who, result] :
+       Ask(db->get(), "retrieve (f.rank) where f.name = \"Merrie\"")) {
+    SCOPED_TRACE(who);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->size(), 1u);
+    EXPECT_EQ(result->rows()[0].values[0].AsString(), "full");
+    EXPECT_EQ(result->temporal_class(), TemporalClass::kStatic);
+    EXPECT_FALSE(result->rows()[0].valid.has_value());
+    EXPECT_FALSE(result->rows()[0].txn.has_value());
+  }
 }
 
 TEST(PaperScenario, Figure4RollbackRelationContents) {
@@ -108,14 +122,17 @@ TEST(PaperScenario, Figure4AsOfQueryYieldsAssociate) {
 
   // "retrieve (f.rank) where f.name = 'Merrie' as of '12/10/82'" ->
   // associate (the promotion was recorded 12/15/82).
-  Result<Rowset> result = (*db)->Query(
-      "retrieve (f.rank) where f.name = \"Merrie\" as of \"12/10/82\"");
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->size(), 1u);
-  EXPECT_EQ(result->rows()[0].values[0].AsString(), "associate");
-  // "the result of a query on a static rollback database is a pure static
-  // relation".
-  EXPECT_EQ(result->temporal_class(), TemporalClass::kStatic);
+  for (auto& [who, result] :
+       Ask(db->get(), "retrieve (f.rank) where f.name = \"Merrie\" as of "
+                      "\"12/10/82\"")) {
+    SCOPED_TRACE(who);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->size(), 1u);
+    EXPECT_EQ(result->rows()[0].values[0].AsString(), "associate");
+    // "the result of a query on a static rollback database is a pure static
+    // relation".
+    EXPECT_EQ(result->temporal_class(), TemporalClass::kStatic);
+  }
 }
 
 TEST(PaperScenario, Figure6HistoricalRelationContents) {
@@ -151,16 +168,19 @@ TEST(PaperScenario, Figure6WhenQueryYieldsFull) {
   ASSERT_TRUE((*db)->Execute("range of f2 is faculty").ok());
 
   // The paper's historical query: Merrie's rank when Tom arrived.
-  Result<Rowset> result = (*db)->Query(
-      "retrieve (f1.rank) where f1.name = \"Merrie\" and f2.name = \"Tom\" "
-      "when f1 overlap start of f2");
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->size(), 1u);
-  EXPECT_EQ(result->rows()[0].values[0].AsString(), "full");
-  // The derived relation is historical, with valid time [12/01/82, inf).
-  EXPECT_EQ(result->temporal_class(), TemporalClass::kHistorical);
-  ASSERT_TRUE(result->rows()[0].valid.has_value());
-  EXPECT_EQ(*result->rows()[0].valid, From("12/01/82"));
+  for (auto& [who, result] :
+       Ask(db->get(),
+           "retrieve (f1.rank) where f1.name = \"Merrie\" and f2.name = "
+           "\"Tom\" when f1 overlap start of f2")) {
+    SCOPED_TRACE(who);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->size(), 1u);
+    EXPECT_EQ(result->rows()[0].values[0].AsString(), "full");
+    // The derived relation is historical, with valid time [12/01/82, inf).
+    EXPECT_EQ(result->temporal_class(), TemporalClass::kHistorical);
+    ASSERT_TRUE(result->rows()[0].valid.has_value());
+    EXPECT_EQ(*result->rows()[0].valid, From("12/01/82"));
+  }
 }
 
 TEST(PaperScenario, Figure8TemporalRelationContents) {
@@ -201,27 +221,30 @@ TEST(PaperScenario, Figure8BitemporalQueries) {
   ASSERT_TRUE((*db)->Execute("range of f1 is faculty").ok());
   ASSERT_TRUE((*db)->Execute("range of f2 is faculty").ok());
 
-  // As of 12/10/82 the promotion had not yet been recorded: associate.
-  Result<Rowset> r1 = (*db)->Query(
+  const std::string query =
       "retrieve (f1.rank) where f1.name = \"Merrie\" and f2.name = \"Tom\" "
-      "when f1 overlap start of f2 as of \"12/10/82\"");
-  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  ASSERT_EQ(r1->size(), 1u);
-  EXPECT_EQ(r1->rows()[0].values[0].AsString(), "associate");
-  // The paper's printed answer carries both periods.
-  EXPECT_EQ(r1->temporal_class(), TemporalClass::kTemporal);
-  ASSERT_TRUE(r1->rows()[0].valid.has_value());
-  ASSERT_TRUE(r1->rows()[0].txn.has_value());
-  EXPECT_EQ(*r1->rows()[0].valid, From("09/01/77"));
-  EXPECT_EQ(*r1->rows()[0].txn, P("08/25/77", "12/15/82"));
+      "when f1 overlap start of f2 as of ";
+  // As of 12/10/82 the promotion had not yet been recorded: associate.
+  for (auto& [who, r1] : Ask(db->get(), query + "\"12/10/82\"")) {
+    SCOPED_TRACE(who);
+    ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+    ASSERT_EQ(r1->size(), 1u);
+    EXPECT_EQ(r1->rows()[0].values[0].AsString(), "associate");
+    // The paper's printed answer carries both periods.
+    EXPECT_EQ(r1->temporal_class(), TemporalClass::kTemporal);
+    ASSERT_TRUE(r1->rows()[0].valid.has_value());
+    ASSERT_TRUE(r1->rows()[0].txn.has_value());
+    EXPECT_EQ(*r1->rows()[0].valid, From("09/01/77"));
+    EXPECT_EQ(*r1->rows()[0].txn, P("08/25/77", "12/15/82"));
+  }
 
   // As of 12/20/82 the retroactive recording is visible: full.
-  Result<Rowset> r2 = (*db)->Query(
-      "retrieve (f1.rank) where f1.name = \"Merrie\" and f2.name = \"Tom\" "
-      "when f1 overlap start of f2 as of \"12/20/82\"");
-  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  ASSERT_EQ(r2->size(), 1u);
-  EXPECT_EQ(r2->rows()[0].values[0].AsString(), "full");
+  for (auto& [who, r2] : Ask(db->get(), query + "\"12/20/82\"")) {
+    SCOPED_TRACE(who);
+    ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+    ASSERT_EQ(r2->size(), 1u);
+    EXPECT_EQ(r2->rows()[0].values[0].AsString(), "full");
+  }
 }
 
 TEST(PaperScenario, Figure9PromotionEventRelation) {

@@ -1,7 +1,7 @@
-// Parallel execution: the thread pool, the morsel driver, the
-// small-buffer filter functor, bit-identical parallel version scans
-// across thread counts, and WAL group commit under concurrent
-// committers (including a barrier-wide fsync failure).
+// Parallel execution: the thread pool, the morsel driver, parallel version
+// scans that match the reference evaluator at every thread count, and WAL
+// group commit under concurrent committers (including a barrier-wide fsync
+// failure).
 
 #include "exec/parallel_scan.h"
 #include "exec/thread_pool.h"
@@ -15,12 +15,12 @@
 #include <thread>
 #include <vector>
 
-#include "common/inline_function.h"
 #include "common/random.h"
 #include "core/database.h"
 #include "storage/fault_injection.h"
 #include "storage/wal.h"
 #include "temporal/version_store.h"
+#include "tests/reference_eval.h"
 #include "txn/clock.h"
 #include "txn/txn_manager.h"
 
@@ -125,53 +125,11 @@ TEST(MorselTest, ParallelScanMatchesSequentialProbe) {
   }
 }
 
-// --- InlineFunction -------------------------------------------------------
+// --- Parallel version scans against the reference ----------------------
 
-TEST(InlineFunctionTest, EmptyIsFalseAndCallableIsTrue) {
-  InlineFunction<int(int), 48> f;
-  EXPECT_FALSE(f);
-  f = [](int x) { return x + 1; };
-  ASSERT_TRUE(f);
-  EXPECT_EQ(f(41), 42);
-}
-
-TEST(InlineFunctionTest, SmallCaptureStaysInlineAndCopies) {
-  int64_t a = 3, b = 4;
-  InlineFunction<int64_t(int64_t), 48> f =
-      [a, b](int64_t x) { return a * x + b; };
-  InlineFunction<int64_t(int64_t), 48> copy = f;
-  InlineFunction<int64_t(int64_t), 48> moved = std::move(f);
-  EXPECT_EQ(copy(10), 34);
-  EXPECT_EQ(moved(10), 34);
-}
-
-TEST(InlineFunctionTest, LargeCaptureFallsBackToHeap) {
-  // 128 bytes of captured state exceeds the 48-byte inline buffer; the
-  // functor must still behave identically (heap-allocated target).
-  std::array<int64_t, 16> big;
-  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<int64_t>(i);
-  InlineFunction<int64_t(size_t), 48> f =
-      [big](size_t i) { return big[i] * 2; };
-  InlineFunction<int64_t(size_t), 48> copy = f;
-  f = InlineFunction<int64_t(size_t)>();  // Destroy original.
-  EXPECT_EQ(copy(5), 10);
-  EXPECT_EQ(copy(15), 30);
-}
-
-TEST(InlineFunctionTest, ReassignmentReplacesTarget) {
-  InlineFunction<int(), 48> f = [] { return 1; };
-  f = [] { return 2; };
-  EXPECT_EQ(f(), 2);
-  std::array<char, 100> pad{};
-  f = [pad] { return 3 + pad[0]; };
-  EXPECT_EQ(f(), 3);
-}
-
-// --- Bit-identical parallel version scans ---------------------------------
-
-class ParallelVersionScanTest : public ::testing::Test {
+class ParallelBatchScanTest : public ::testing::Test {
  protected:
-  ParallelVersionScanTest() : manager_(&clock_) {}
+  ParallelBatchScanTest() : manager_(&clock_) {}
 
   // A seeded random bitemporal history: appends with random valid periods
   // (half open-ended), interleaved with transaction-time closes of random
@@ -209,37 +167,51 @@ class ParallelVersionScanTest : public ::testing::Test {
     }
   }
 
-  static std::vector<std::pair<RowId, BitemporalTuple>> Collect(
-      VersionScan scan) {
-    std::vector<std::pair<RowId, BitemporalTuple>> out;
-    RowId row = 0;
-    while (const BitemporalTuple* t = scan.Next(&row)) {
-      out.emplace_back(row, *t);
-    }
-    return out;
-  }
-
   // Runs every probe shape the figures exercise and returns their results
   // concatenated, so one comparison covers sequential sweeps, snapshot- and
-  // interval-index-backed scans, and residual filters.
-  std::vector<std::pair<RowId, BitemporalTuple>> RunProbes() {
-    std::vector<std::pair<RowId, BitemporalTuple>> all;
-    auto append = [&all](std::vector<std::pair<RowId, BitemporalTuple>> v) {
+  // interval-index-backed scans, and residual predicates.
+  testutil::ReferenceRows RunProbes() {
+    testutil::ReferenceRows all;
+    auto append = [&all](testutil::ReferenceRows v) {
       all.insert(all.end(), v.begin(), v.end());
     };
-    append(Collect(store_.ScanAll()));
-    append(Collect(store_.ScanCurrent()));
-    append(Collect(store_.ScanAsOf(Chronon(1100))));          // Rollback.
-    append(Collect(store_.ScanTxnOverlapping(
-        Period(Chronon(1050), Chronon(1200)))));
-    append(Collect(store_.ScanValidDuring(                    // Timeslice.
-        Period(Chronon(1000), Chronon(1060)))));
-    append(Collect(store_.ScanValidDuring(
-        Period(Chronon(950), Chronon(1300)),
-        [](const BitemporalTuple& t) { return t.IsCurrentState(); })));
-    append(Collect(store_.ScanAll([](const BitemporalTuple& t) {
-      return t.values[1].AsInt() % 7 == 0;
-    })));
+    append(testutil::DrainScan(store_.BatchScanAll()));
+    append(testutil::DrainScan(store_.BatchScanCurrent()));
+    append(testutil::DrainScan(store_.BatchScanAsOf(Chronon(1100))));
+    append(testutil::DrainScan(
+        store_.BatchScanTxnOverlapping(Period(Chronon(1050), Chronon(1200)))));
+    append(testutil::DrainScan(
+        store_.BatchScanValidDuring(Period(Chronon(1000), Chronon(1060)))));
+    BatchPredicates current;
+    current.txn_current = true;
+    append(testutil::DrainScan(store_.BatchScanValidDuring(
+        Period(Chronon(950), Chronon(1300)), current)));
+    return all;
+  }
+
+  // The same probes, answered by the reference evaluator.
+  testutil::ReferenceRows RunReferenceProbes() const {
+    testutil::ReferenceRows all;
+    auto append = [&](const BatchPredicates& preds) {
+      testutil::ReferenceRows v = testutil::ReferenceScan(store_, preds);
+      all.insert(all.end(), v.begin(), v.end());
+    };
+    BatchPredicates p;
+    append(p);
+    p.txn_current = true;
+    append(p);
+    p = BatchPredicates();
+    p.txn_contains = Chronon(1100);
+    append(p);
+    p = BatchPredicates();
+    p.txn_overlaps = Period(Chronon(1050), Chronon(1200));
+    append(p);
+    p = BatchPredicates();
+    p.valid_overlaps = Period(Chronon(1000), Chronon(1060));
+    append(p);
+    p.valid_overlaps = Period(Chronon(950), Chronon(1300));
+    p.txn_current = true;
+    append(p);
     return all;
   }
 
@@ -248,55 +220,49 @@ class ParallelVersionScanTest : public ::testing::Test {
   VersionStore store_;
 };
 
-TEST_F(ParallelVersionScanTest, BitIdenticalAcrossThreadCounts) {
+TEST_F(ParallelBatchScanTest, MatchesReferenceAcrossThreadCounts) {
   Populate(6000, /*seed=*/42);
-  store_.ConfigureParallel(nullptr);
-  std::vector<std::pair<RowId, BitemporalTuple>> baseline = RunProbes();
-  ASSERT_FALSE(baseline.empty());
+  const testutil::ReferenceRows want = RunReferenceProbes();
+  ASSERT_FALSE(want.empty());
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     exec::ThreadPool pool(threads);
     // min_rows=1 forces the morsel path even for tiny index candidate sets.
     store_.ConfigureParallel(&pool, /*min_rows=*/1);
-    std::vector<std::pair<RowId, BitemporalTuple>> got = RunProbes();
-    ASSERT_EQ(got.size(), baseline.size()) << threads << " threads";
-    for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].first, baseline[i].first)
-          << threads << " threads, position " << i;
-      ASSERT_TRUE(got[i].second == baseline[i].second)
-          << threads << " threads, position " << i;
-    }
+    std::string diff;
+    EXPECT_TRUE(testutil::SameRows(RunProbes(), want, &diff))
+        << threads << " threads: " << diff;
     store_.ConfigureParallel(nullptr);
   }
 }
 
-TEST_F(ParallelVersionScanTest, DifferentSeedsStayDeterministic) {
+TEST_F(ParallelBatchScanTest, DifferentSeedsStayDeterministic) {
   Populate(3000, /*seed=*/7);
-  store_.ConfigureParallel(nullptr);
-  std::vector<std::pair<RowId, BitemporalTuple>> baseline = RunProbes();
+  const testutil::ReferenceRows want = RunReferenceProbes();
   exec::ThreadPool pool(4);
   store_.ConfigureParallel(&pool, 1);
-  // Repeated parallel runs must agree with each other too (no
-  // scheduling-order dependence).
+  // Repeated parallel runs must all match (no scheduling-order dependence).
   for (int round = 0; round < 3; ++round) {
-    std::vector<std::pair<RowId, BitemporalTuple>> got = RunProbes();
-    ASSERT_EQ(got, baseline) << "round " << round;
+    std::string diff;
+    EXPECT_TRUE(testutil::SameRows(RunProbes(), want, &diff))
+        << "round " << round << ": " << diff;
   }
 }
 
-TEST_F(ParallelVersionScanTest, SmallDomainsStaySequential) {
+TEST_F(ParallelBatchScanTest, SmallDomainsStaySequential) {
   Populate(200, /*seed=*/3);
   exec::ThreadPool pool(4);
   store_.ConfigureParallel(&pool);  // Default threshold (4096) > 200 rows.
-  std::vector<std::pair<RowId, BitemporalTuple>> a = Collect(store_.ScanAll());
+  std::string diff;
+  EXPECT_TRUE(testutil::SameRows(testutil::DrainScan(store_.BatchScanAll()),
+                                 testutil::ReferenceScan(store_, {}), &diff))
+      << diff;
   store_.ConfigureParallel(nullptr);
-  std::vector<std::pair<RowId, BitemporalTuple>> b = Collect(store_.ScanAll());
-  EXPECT_EQ(a, b);
 }
 
 // Figure 3–8 style probes through the full query stack: the same TQuel
 // script and queries against a sequential and a parallel database must
-// produce identical rowsets, in identical order (when-join included).
-TEST(ParallelDatabaseTest, QueriesMatchSequentialDatabase) {
+// both return the reference's rowsets, in its order (when-join included).
+TEST(ParallelDatabaseTest, QueriesMatchReferenceSequentialAndParallel) {
   auto build = [](ManualClock* clock, bool parallel) {
     DatabaseOptions options;
     options.clock = clock;
@@ -350,13 +316,13 @@ TEST(ParallelDatabaseTest, QueriesMatchSequentialDatabase) {
       "retrieve (f.name, c.chair) where f.name = c.name when f overlap c",
   };
   for (const char* q : queries) {
-    Result<Rowset> a = seq->Query(q);
-    Result<Rowset> b = par->Query(q);
-    ASSERT_TRUE(a.ok()) << q << ": " << a.status().message();
-    ASSERT_TRUE(b.ok()) << q << ": " << b.status().message();
-    ASSERT_EQ(a->size(), b->size()) << q;
-    for (size_t i = 0; i < a->size(); ++i) {
-      ASSERT_TRUE(a->rows()[i] == b->rows()[i]) << q << " row " << i;
+    Result<Rowset> want = testutil::ReferenceRetrieve(seq.get(), q);
+    ASSERT_TRUE(want.ok()) << q << ": " << want.status().message();
+    for (Database* db : {seq.get(), par.get()}) {
+      Result<Rowset> got = db->Query(q);
+      ASSERT_TRUE(got.ok()) << q << ": " << got.status().message();
+      std::string diff;
+      EXPECT_TRUE(testutil::SameRows(*got, *want, &diff)) << q << ": " << diff;
     }
   }
 }

@@ -1,11 +1,11 @@
 // Epoch-partition differential: a partitioned store (any partition size,
-// any thread count, row/batch/snapshot path) must be bit-identical to the
-// unpartitioned baseline — pruning may only skip partitions the pushed-down
-// window provably misses.  Also covers synopsis maintenance across
-// corrections straddling a seal boundary, checkpoint/recovery of the
-// partition directory, the ScanStats accounting identity (including that
-// pruned partitions never form morsels), and the key sketch's
-// no-false-negative contract.
+// any thread count, direct or snapshot path) must return exactly what the
+// brute-force reference evaluator (tests/reference_eval.h) selects —
+// pruning may only skip partitions the pushed-down window provably misses.
+// Also covers synopsis maintenance across corrections straddling a seal
+// boundary, checkpoint/recovery of the partition directory, the ScanStats
+// accounting identity (including that pruned partitions never form
+// morsels), and the key sketch's no-false-negative contract.
 
 #include "temporal/partition.h"
 
@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -22,11 +23,17 @@
 #include "core/database.h"
 #include "exec/thread_pool.h"
 #include "temporal/version_store.h"
+#include "tests/reference_eval.h"
 #include "txn/clock.h"
 #include "txn/txn_manager.h"
 
 namespace temporadb {
 namespace {
+
+using testutil::DrainScan;
+using testutil::ReferenceRetrieve;
+using testutil::ReferenceScan;
+using testutil::SameRows;
 
 // --- Store-level differential ---------------------------------------------
 
@@ -121,164 +128,104 @@ void Populate(Harness* h, size_t n_ops, uint64_t seed,
   }
 }
 
-using Sequence = std::vector<std::pair<RowId, BitemporalTuple>>;
-
-Sequence CollectRows(VersionScan scan) {
-  Sequence out;
-  RowId row = 0;
-  while (const BitemporalTuple* t = scan.Next(&row)) out.emplace_back(row, *t);
-  return out;
-}
-
-Sequence CollectBatches(VersionBatchScan scan) {
-  Sequence out;
-  VersionBatch batch;
-  while (scan.Next(&batch)) {
-    EXPECT_FALSE(batch.empty());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      out.emplace_back(batch.rows[i], *batch.tuples[i]);
-    }
-  }
-  return out;
-}
-
-// Probe windows chosen to exercise both prune outcomes: some hit only early
+// One probe: a scan entry point and the predicates that define its answer.
+// Windows are chosen to exercise both prune outcomes: some hit only early
 // history, some only late, some everything.
-Sequence RunRowProbes(const VersionStore& store) {
-  Sequence all;
-  auto append = [&all](Sequence v) {
-    all.insert(all.end(), v.begin(), v.end());
-  };
-  append(CollectRows(store.ScanAll()));
-  append(CollectRows(store.ScanCurrent()));
-  append(CollectRows(store.ScanAsOf(Chronon(1005))));
-  append(CollectRows(store.ScanAsOf(Chronon(1100))));
-  append(CollectRows(store.ScanAsOf(Chronon(100000))));
-  append(CollectRows(
-      store.ScanTxnOverlapping(Period(Chronon(1050), Chronon(1200)))));
-  append(CollectRows(
-      store.ScanTxnOverlapping(Period(Chronon(0), Chronon(1002)))));
-  append(CollectRows(
-      store.ScanValidDuring(Period(Chronon(1000), Chronon(1060)))));
-  append(CollectRows(
-      store.ScanValidDuring(Period(Chronon(900), Chronon(905)))));
-  return all;
+struct Probe {
+  BatchPredicates preds;
+  std::function<VersionBatchScan(const VersionStore&)> scan;
+};
+
+std::vector<Probe> Probes() {
+  std::vector<Probe> probes;
+  probes.push_back({{}, [](const VersionStore& s) { return s.BatchScanAll(); }});
+  BatchPredicates current;
+  current.txn_current = true;
+  probes.push_back(
+      {current, [](const VersionStore& s) { return s.BatchScanCurrent(); }});
+  for (int64_t t : {1005, 1100, 100000}) {
+    BatchPredicates asof;
+    asof.txn_contains = Chronon(t);
+    probes.push_back({asof, [t](const VersionStore& s) {
+                        return s.BatchScanAsOf(Chronon(t));
+                      }});
+  }
+  for (Period w : {Period(Chronon(1050), Chronon(1200)),
+                   Period(Chronon(0), Chronon(1002))}) {
+    BatchPredicates txn;
+    txn.txn_overlaps = w;
+    probes.push_back({txn, [w](const VersionStore& s) {
+                        return s.BatchScanTxnOverlapping(w);
+                      }});
+  }
+  for (Period w : {Period(Chronon(1000), Chronon(1060)),
+                   Period(Chronon(900), Chronon(905))}) {
+    BatchPredicates valid;
+    valid.valid_overlaps = w;
+    probes.push_back({valid, [w](const VersionStore& s) {
+                        return s.BatchScanValidDuring(w);
+                      }});
+  }
+  return probes;
 }
 
-Sequence RunBatchProbes(const VersionStore& store) {
-  Sequence all;
-  auto append = [&all](Sequence v) {
-    all.insert(all.end(), v.begin(), v.end());
-  };
-  append(CollectBatches(store.BatchScanAll()));
-  append(CollectBatches(store.BatchScanCurrent()));
-  append(CollectBatches(store.BatchScanAsOf(Chronon(1005))));
-  append(CollectBatches(store.BatchScanAsOf(Chronon(1100))));
-  append(CollectBatches(store.BatchScanAsOf(Chronon(100000))));
-  append(CollectBatches(
-      store.BatchScanTxnOverlapping(Period(Chronon(1050), Chronon(1200)))));
-  append(CollectBatches(
-      store.BatchScanTxnOverlapping(Period(Chronon(0), Chronon(1002)))));
-  append(CollectBatches(
-      store.BatchScanValidDuring(Period(Chronon(1000), Chronon(1060)))));
-  append(CollectBatches(
-      store.BatchScanValidDuring(Period(Chronon(900), Chronon(905)))));
-  return all;
-}
-
-void ExpectSameSequence(const Sequence& got, const Sequence& want,
-                        const std::string& label) {
-  ASSERT_EQ(got.size(), want.size()) << label;
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].first, want[i].first) << label << ", position " << i;
-    ASSERT_TRUE(got[i].second == want[i].second)
-        << label << ", position " << i;
+void ExpectProbesMatchReference(const VersionStore& store,
+                                const std::string& label) {
+  for (const Probe& p : Probes()) {
+    std::string diff;
+    EXPECT_TRUE(SameRows(DrainScan(p.scan(store)),
+                         ReferenceScan(store, p.preds), &diff))
+        << label << ": " << diff;
   }
 }
 
-TEST(PartitionDifferentialTest, RowAndBatchPathsMatchUnpartitionedBaseline) {
-  Harness baseline(/*partition_rows=*/0);
-  Populate(&baseline, 4000, /*seed=*/31);
-  ASSERT_EQ(baseline.store->sealed_partition_count(), 0u);
-  const Sequence want_rows = RunRowProbes(*baseline.store);
-  const Sequence want_batches = RunBatchProbes(*baseline.store);
-  ASSERT_FALSE(want_rows.empty());
-  ExpectSameSequence(want_batches, want_rows, "baseline batch vs row");
-
-  for (size_t partition_rows : {1u, 127u, 4096u}) {
+TEST(PartitionDifferentialTest, ScansMatchReferenceAcrossPartitionSizes) {
+  for (size_t partition_rows : {0u, 1u, 127u, 4096u}) {
     Harness h(partition_rows);
     Populate(&h, 4000, /*seed=*/31);
-    if (partition_rows <= 127) {
+    ASSERT_FALSE(testing::Test::HasFatalFailure());
+    if (partition_rows > 0 && partition_rows <= 127) {
       ASSERT_GT(h.store->sealed_partition_count(), 1u);
     }
-    const std::string label = std::string("partition_rows=") + std::to_string(partition_rows);
-    ExpectSameSequence(RunRowProbes(*h.store), want_rows, label + " rows");
-    ExpectSameSequence(RunBatchProbes(*h.store), want_batches,
-                       label + " batches");
+    const std::string label =
+        "partition_rows=" + std::to_string(partition_rows);
+    ExpectProbesMatchReference(*h.store, label);
     // Pruning off must not change anything either (sealing still happened).
     h.store->ConfigurePartitionPruning(false);
-    ExpectSameSequence(RunRowProbes(*h.store), want_rows,
-                       label + " rows, pruning off");
+    ExpectProbesMatchReference(*h.store, label + ", pruning off");
     h.store->ConfigurePartitionPruning(true);
 
     for (size_t threads : {1u, 4u}) {
       exec::ThreadPool pool(threads);
       h.store->ConfigureParallel(&pool, /*min_rows=*/1);
-      ExpectSameSequence(RunRowProbes(*h.store), want_rows,
-                         label + " rows, threads=" + std::to_string(threads));
-      ExpectSameSequence(
-          RunBatchProbes(*h.store), want_batches,
-          label + " batches, threads=" + std::to_string(threads));
+      ExpectProbesMatchReference(
+          *h.store, label + ", threads=" + std::to_string(threads));
       h.store->ConfigureParallel(nullptr);
     }
   }
 }
 
-TEST(PartitionDifferentialTest, SnapshotPathMatchesUnpartitionedBaseline) {
+TEST(PartitionDifferentialTest, SnapshotPathMatchesReferenceAtThePin) {
   // Identical op script against every store; a pin taken at the same point
-  // in the script pins the same (seq, rows) everywhere, so snapshot scans
-  // must agree row for row.
-  auto drive = [](Harness* h, SnapshotPin* mid_pin) {
-    Populate(h, 1500, /*seed=*/47, /*corrections=*/false);
-    *mid_pin = h->Pin();
-    Populate(h, 1500, /*seed=*/53, /*corrections=*/false);
-  };
-  auto probe = [](const Harness& h, const SnapshotPin& pin) {
-    Sequence all;
-    auto append = [&all](Sequence v) {
-      all.insert(all.end(), v.begin(), v.end());
-    };
-    BatchPredicates none;
-    append(CollectRows(h.store->ScanSnapshot(pin, none)));
-    append(CollectBatches(h.store->BatchScanSnapshot(pin, none)));
-    BatchPredicates current;
-    current.txn_current = true;
-    append(CollectBatches(h.store->BatchScanSnapshot(pin, current)));
-    BatchPredicates asof;
-    asof.txn_contains = Chronon(1100);
-    append(CollectBatches(h.store->BatchScanSnapshot(pin, asof)));
-    BatchPredicates when;
-    when.valid_overlaps = Period(Chronon(1000), Chronon(1060));
-    append(CollectBatches(h.store->BatchScanSnapshot(pin, when)));
-    return all;
-  };
+  // in the script pins the same (seq, rows) everywhere.  The reference is a
+  // store that stopped at the pin.
+  Harness frozen(/*partition_rows=*/0, /*with_mvcc=*/true);
+  Populate(&frozen, 1500, /*seed=*/47, /*corrections=*/false);
+  const SnapshotPin frozen_pin = frozen.Pin();
 
-  Harness baseline(/*partition_rows=*/0, /*with_mvcc=*/true);
-  SnapshotPin baseline_pin;
-  drive(&baseline, &baseline_pin);
-  const Sequence want = probe(baseline, baseline_pin);
-  ASSERT_FALSE(want.empty());
-
-  for (size_t partition_rows : {1u, 127u, 4096u}) {
+  for (size_t partition_rows : {0u, 1u, 127u, 4096u}) {
     Harness h(partition_rows, /*with_mvcc=*/true);
-    SnapshotPin pin;
-    drive(&h, &pin);
-    ASSERT_EQ(pin.rows, baseline_pin.rows);
-    ASSERT_EQ(pin.seq, baseline_pin.seq);
-    ExpectSameSequence(
-        probe(h, pin), want,
-        std::string("snapshot, partition_rows=") +
-            std::to_string(partition_rows));
+    Populate(&h, 1500, /*seed=*/47, /*corrections=*/false);
+    const SnapshotPin pin = h.Pin();
+    Populate(&h, 1500, /*seed=*/53, /*corrections=*/false);
+    ASSERT_EQ(pin.rows, frozen_pin.rows);
+    ASSERT_EQ(pin.seq, frozen_pin.seq);
+    for (const Probe& p : Probes()) {
+      std::string diff;
+      EXPECT_TRUE(SameRows(DrainScan(h.store->BatchScanSnapshot(pin, p.preds)),
+                           ReferenceScan(*frozen.store, p.preds), &diff))
+          << "snapshot, partition_rows=" << partition_rows << ": " << diff;
+    }
   }
 }
 
@@ -286,35 +233,34 @@ TEST(PartitionDifferentialTest, SnapshotPathMatchesUnpartitionedBaseline) {
 
 TEST(PartitionCorrectionTest, StraddlingCorrectionsPatchSynopses) {
   Harness h(/*partition_rows=*/4);
-  Harness flat(/*partition_rows=*/0);
   // Ten committed rows: partitions [0,4) and [4,8) seal, rows 8-9 stay hot.
-  for (Harness* target : {&h, &flat}) {
-    target->clock.SetTime(Chronon(100));
-    Transaction* txn = *target->manager.Begin();
+  {
+    h.clock.SetTime(Chronon(100));
+    Transaction* txn = *h.manager.Begin();
     for (int i = 0; i < 10; ++i) {
       BitemporalTuple t;
       t.values = {Value(static_cast<int64_t>(i)), Value("v")};
       t.valid = Period(Chronon(10 * i), Chronon(10 * i + 10));
       t.txn = Period::From(Chronon(100));
-      ASSERT_TRUE(target->store->Append(txn, std::move(t)).ok());
+      ASSERT_TRUE(h.store->Append(txn, std::move(t)).ok());
     }
-    target->Commit(txn);
+    h.Commit(txn);
   }
   ASSERT_EQ(h.store->sealed_partition_count(), 2u);
   ASSERT_EQ(h.store->sealed_partition(1).live_rows, 4u);
 
   // One correction transaction touching both sides of the row-4 boundary:
   // delete row 3 (partition 0), rewrite row 4 (partition 1).
-  for (Harness* target : {&h, &flat}) {
-    target->clock.SetTime(Chronon(200));
-    Transaction* txn = *target->manager.Begin();
-    ASSERT_TRUE(target->store->PhysicalDelete(txn, 3).ok());
+  {
+    h.clock.SetTime(Chronon(200));
+    Transaction* txn = *h.manager.Begin();
+    ASSERT_TRUE(h.store->PhysicalDelete(txn, 3).ok());
     BitemporalTuple patched;
     patched.values = {Value(static_cast<int64_t>(400)), Value("patched")};
     patched.valid = Period(Chronon(500), Chronon(600));
     patched.txn = Period::From(Chronon(100));
-    ASSERT_TRUE(target->store->PhysicalUpdate(txn, 4, patched).ok());
-    target->Commit(txn);
+    ASSERT_TRUE(h.store->PhysicalUpdate(txn, 4, patched).ok());
+    h.Commit(txn);
   }
   // Synopses repatched exactly: partition 0 lost a live row, partition 1's
   // valid bounds now cover the rewritten period (row 4 went from [40,50)
@@ -338,25 +284,21 @@ TEST(PartitionCorrectionTest, StraddlingCorrectionsPatchSynopses) {
   EXPECT_EQ(h.store->sealed_partition(0).live_rows, 3u);
   EXPECT_EQ(h.store->sealed_partition(1).live_rows, 4u);
 
-  // And the partitioned store still reads bit-identically to the flat one.
-  ExpectSameSequence(RunRowProbes(*h.store), RunRowProbes(*flat.store),
-                     "straddling corrections, rows");
-  ExpectSameSequence(RunBatchProbes(*h.store), RunBatchProbes(*flat.store),
-                     "straddling corrections, batches");
+  // And the partitioned store still reads exactly as the reference.
+  ExpectProbesMatchReference(*h.store, "straddling corrections");
 
   // A transaction-time close of a sealed row maintains the mutable trio
   // incrementally: partition 1 loses a current row and gains a finite end.
   const uint64_t before = h.store->sealed_partition(1).current_rows;
-  for (Harness* target : {&h, &flat}) {
-    target->clock.SetTime(Chronon(400));
-    Transaction* txn = *target->manager.Begin();
-    ASSERT_TRUE(target->store->CloseTxn(txn, 5, Chronon(400)).ok());
-    target->Commit(txn);
+  {
+    h.clock.SetTime(Chronon(400));
+    Transaction* txn = *h.manager.Begin();
+    ASSERT_TRUE(h.store->CloseTxn(txn, 5, Chronon(400)).ok());
+    h.Commit(txn);
   }
   EXPECT_EQ(h.store->sealed_partition(1).current_rows, before - 1);
   EXPECT_GE(h.store->sealed_partition(1).max_finite_tt_end, 400);
-  ExpectSameSequence(RunRowProbes(*h.store), RunRowProbes(*flat.store),
-                     "sealed close, rows");
+  ExpectProbesMatchReference(*h.store, "sealed close");
 }
 
 // --- Checkpoint / recovery -------------------------------------------------
@@ -446,15 +388,18 @@ TEST_F(PartitionPersistenceTest, SealedPartitionsSurviveCheckpointAndWal) {
 
 TEST_F(PartitionPersistenceTest, RecoveredSynopsesKeepPruningSound) {
   // Differential across a restart: the recovered, partition-pruned store
-  // answers every probe exactly like a fresh unpartitioned database built
-  // from the same history.
-  auto build = [](Database* db, ManualClock* clock) {
+  // answers the probe exactly like the reference evaluator.
+  const std::string query =
+      std::string("retrieve (x.name, x.n) when x overlap \"") +
+      Chronon(3655).ToString() + "\"";
+  {
+    auto db = Open(/*partition_rows=*/16);
     ASSERT_TRUE(db->Execute("create historical relation h "
                             "(name = string, n = int)")
                     .ok());
     Random rng(7);
     for (int i = 0; i < 120; ++i) {
-      if (i % 5 == 0) clock->AdvanceDays(2);
+      if (i % 5 == 0) clock_.AdvanceDays(2);
       int64_t from = 3650 + static_cast<int64_t>(rng.Uniform(60));
       ASSERT_TRUE(db->Execute(std::string("append to h (name = \"e") +
                               std::to_string(i % 9) + "\", n = " +
@@ -463,46 +408,19 @@ TEST_F(PartitionPersistenceTest, RecoveredSynopsesKeepPruningSound) {
                               Chronon(from + 10).ToString() + "\"")
                       .ok());
     }
-    ASSERT_TRUE(db->Execute("range of x is h").ok());
-  };
-  const std::string query = std::string("retrieve (x.name, x.n) when x overlap \"") +
-                            Chronon(3655).ToString() + "\"";
-  std::vector<std::string> want;
-  {
-    auto db = Open(/*partition_rows=*/16);
-    build(db.get(), &clock_);
     ASSERT_TRUE(db->Checkpoint().ok());
   }
-  {
-    // Rebuild the same history in-memory, unpartitioned, with its own clock
-    // stepped through the identical script.
-    ManualClock flat_clock;
-    ASSERT_TRUE(flat_clock.SetDate("01/01/80").ok());
-    DatabaseOptions options;
-    options.clock = &flat_clock;
-    options.store_options.partition_rows = 0;
-    auto flat = std::move(*Database::Open(options));
-    build(flat.get(), &flat_clock);
-    Result<Rowset> rows = flat->Query(query);
-    ASSERT_TRUE(rows.ok());
-    for (const Row& r : rows->rows()) {
-      want.push_back(r.values[0].ToString() + "|" + r.values[1].ToString());
-    }
-  }
-  {
-    auto db = Open(/*partition_rows=*/16);
-    StoredRelation* rel = *db->GetRelation("h");
-    ASSERT_GT(rel->store()->sealed_partition_count(), 2u);
-    ASSERT_TRUE(db->Execute("range of x is h").ok());
-    Result<Rowset> rows = db->Query(query);
-    ASSERT_TRUE(rows.ok());
-    ASSERT_EQ(rows->size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(rows->rows()[i].values[0].ToString() + "|" +
-                    rows->rows()[i].values[1].ToString(),
-                want[i]);
-    }
-  }
+  auto db = Open(/*partition_rows=*/16);
+  StoredRelation* rel = *db->GetRelation("h");
+  ASSERT_GT(rel->store()->sealed_partition_count(), 2u);
+  ASSERT_TRUE(db->Execute("range of x is h").ok());
+  Result<Rowset> rows = db->Query(query);
+  ASSERT_TRUE(rows.ok());
+  Result<Rowset> want = ReferenceRetrieve(db.get(), query);
+  ASSERT_TRUE(want.ok());
+  ASSERT_GT(want->size(), 0u);
+  std::string diff;
+  EXPECT_TRUE(SameRows(*rows, *want, &diff)) << diff;
 }
 
 // --- ScanStats -------------------------------------------------------------
@@ -540,7 +458,7 @@ TEST(PartitionStatsTest, AccountingIdentityAndMorselSuppression) {
   // [80, 155)) can intersect — epoch 0 tops out at 75, epoch 2 starts at
   // 160.  The matches are rows 10-11; the single surviving epoch is one
   // 8-row range = exactly 1 morsel, and the 7 pruned epochs form none.
-  Sequence got = CollectBatches(
+  testutil::ReferenceRows got = DrainScan(
       h.store->BatchScanValidDuring(Period(Chronon(100), Chronon(120))));
   EXPECT_EQ(got.size(), 2u);
   EXPECT_EQ(stats.considered(), 8u);
@@ -555,9 +473,11 @@ TEST(PartitionStatsTest, AccountingIdentityAndMorselSuppression) {
   // With pruning off, the same scan forms the full 8 morsels.
   stats.Reset();
   h.store->ConfigurePartitionPruning(false);
-  Sequence off = CollectBatches(
-      h.store->BatchScanValidDuring(Period(Chronon(100), Chronon(120))));
-  ExpectSameSequence(off, got, "pruning toggle");
+  std::string diff;
+  EXPECT_TRUE(SameRows(DrainScan(h.store->BatchScanValidDuring(
+                           Period(Chronon(100), Chronon(120)))),
+                       got, &diff))
+      << "pruning toggle: " << diff;
   EXPECT_EQ(stats.considered(), 0u);  // Synopsis walk skipped entirely.
   EXPECT_EQ(stats.morsels(), 8u);
   h.store->ConfigurePartitionPruning(true);
@@ -565,7 +485,7 @@ TEST(PartitionStatsTest, AccountingIdentityAndMorselSuppression) {
   // As-of below every tt_start: all 8 epochs prune on transaction time and
   // no morsel forms at all.
   stats.Reset();
-  got = CollectBatches(h.store->BatchScanAsOf(Chronon(-5)));
+  got = DrainScan(h.store->BatchScanAsOf(Chronon(-5)));
   EXPECT_TRUE(got.empty());
   EXPECT_EQ(stats.pruned_tt(), 8u);
   EXPECT_EQ(stats.scanned(), 0u);
@@ -575,7 +495,7 @@ TEST(PartitionStatsTest, AccountingIdentityAndMorselSuppression) {
   // As-of after every close: the 4 fully-closed epochs prune (finite tt
   // upper bound), the 4 epochs holding current rows cannot.
   stats.Reset();
-  got = CollectBatches(h.store->BatchScanAsOf(Chronon(500)));
+  got = DrainScan(h.store->BatchScanAsOf(Chronon(500)));
   EXPECT_EQ(got.size(), 32u);
   EXPECT_EQ(stats.pruned_tt(), 4u);
   EXPECT_EQ(stats.scanned(), 4u);
@@ -607,7 +527,8 @@ TEST(PartitionStatsTest, SnapshotScansSkipPartitionsSealedAboveThePin) {
   ScanStats stats;
   h.store->set_scan_stats(&stats);
   BatchPredicates none;
-  Sequence got = CollectBatches(h.store->BatchScanSnapshot(pin, none));
+  testutil::ReferenceRows got =
+      DrainScan(h.store->BatchScanSnapshot(pin, none));
   EXPECT_EQ(got.size(), 16u);  // Only the pinned prefix.
   EXPECT_EQ(stats.considered(), 4u);
   EXPECT_EQ(stats.pruned_snapshot(), 2u);
@@ -626,12 +547,12 @@ TEST(KeySketchTest, NoFalseNegatives) {
   Random rng(99);
   std::vector<Value> added;
   for (int i = 0; i < 500; ++i) {
+    // Each Value is built in place: moving a string-holding Value into the
+    // vector trips GCC 12's -Wmaybe-uninitialized.
     if (rng.OneIn(2)) {
-      added.push_back(Value(static_cast<int64_t>(rng.Uniform(1000000))));
+      added.emplace_back(static_cast<int64_t>(rng.Uniform(1000000)));
     } else {
-      std::string key = "k";
-      key += std::to_string(rng.Uniform(1000000));
-      added.push_back(Value(std::move(key)));
+      added.emplace_back("k" + std::to_string(rng.Uniform(1000000)));
     }
     sketch.Add(added.back());
   }
@@ -780,29 +701,15 @@ std::vector<std::string> FourClassQueries() {
   return queries;
 }
 
-TEST(PartitionDatabaseTest, FourClassesMatchAcrossPartitionSizesAndThreads) {
-  // Baseline: unpartitioned, sequential.  Time indexes off so the scans
-  // take the sequential-sweep path pruning applies to.
-  ManualClock base_clock;
-  VersionStoreOptions base_options;
-  base_options.partition_rows = 0;
-  base_options.index_valid_time = false;
-  base_options.index_txn_time = false;
-  std::unique_ptr<Database> base_db =
-      BuildFourClassDb(&base_clock, base_options, /*max_threads=*/1);
+TEST(PartitionDatabaseTest, FourClassesMatchReferenceAcrossPartitionSizes) {
+  // Time indexes off so the scans take the sequential-sweep path pruning
+  // applies to.
   const std::vector<std::string> queries = FourClassQueries();
-  std::vector<Rowset> baseline;
-  size_t nonempty = 0;
-  for (const std::string& q : queries) {
-    Result<Rowset> r = base_db->Query(q);
-    ASSERT_TRUE(r.ok()) << q << ": " << r.status().message();
-    if (r->size() > 0) ++nonempty;
-    baseline.push_back(std::move(*r));
-  }
-  ASSERT_GT(nonempty, queries.size() / 2);
-
-  for (size_t partition_rows : {1u, 127u, 4096u}) {
+  for (size_t partition_rows : {0u, 1u, 127u, 4096u}) {
     for (size_t threads : {1u, 4u}) {
+      const std::string label =
+          " (partition_rows=" + std::to_string(partition_rows) +
+          ", threads=" + std::to_string(threads) + ")";
       ManualClock clock;
       VersionStoreOptions options;
       options.partition_rows = partition_rows;
@@ -814,19 +721,17 @@ TEST(PartitionDatabaseTest, FourClassesMatchAcrossPartitionSizesAndThreads) {
       }
       std::unique_ptr<Database> db =
           BuildFourClassDb(&clock, options, threads);
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        const std::string& q = queries[qi];
+      size_t nonempty = 0;
+      for (const std::string& q : queries) {
+        Result<Rowset> want = ReferenceRetrieve(db.get(), q);
+        ASSERT_TRUE(want.ok()) << q << ": " << want.status().ToString();
+        if (want->size() > 0) ++nonempty;
         Result<Rowset> got = db->Query(q);
-        ASSERT_TRUE(got.ok()) << q << ": " << got.status().message();
-        ASSERT_EQ(got->size(), baseline[qi].size())
-            << q << " (partition_rows=" << partition_rows
-            << ", threads=" << threads << ")";
-        for (size_t i = 0; i < got->size(); ++i) {
-          ASSERT_TRUE(got->rows()[i] == baseline[qi].rows()[i])
-              << q << " row " << i << " (partition_rows=" << partition_rows
-              << ", threads=" << threads << ")";
-        }
+        ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+        std::string diff;
+        EXPECT_TRUE(SameRows(*got, *want, &diff)) << q << label << ": " << diff;
       }
+      ASSERT_GT(nonempty, queries.size() / 2);
     }
   }
 }

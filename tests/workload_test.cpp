@@ -1,9 +1,10 @@
 // The workload suite's CI tier: the seeded HR/payroll generator must be
 // byte-deterministic, and the mixed-phase driver — serialized writer +
-// concurrent snapshot readers — must stay bit-identical to the in-memory
-// shadow history across {row, batch, snapshot} execution paths × {1, N}
-// threads × partition sizes, with the ScanStats accounting identity
-// holding at every sync point.  `TDB_WORKLOAD_SMALL` shrinks the run for
+// concurrent snapshot readers — must answer every oracle query as the
+// reference evaluator (tests/reference_eval.h) does, on the direct path at
+// {1, N} threads and on the snapshot path × partition sizes, keep the same
+// coalesced history as the in-memory shadow, and hold the ScanStats
+// accounting identity at every sync point.  `TDB_WORKLOAD_SMALL` shrinks the run for
 // the sanitizer jobs; the full-size version of this harness is
 // bench/bench_workload.cpp.
 
@@ -132,7 +133,7 @@ TEST(WorkloadDriverTest, DigestInvariantAcrossReaderThreadCounts) {
 }
 
 // The tentpole: a mixed-phase run with >= 2 concurrent snapshot readers
-// during sustained writes, checked differentially against the shadow at
+// during sustained writes, checked against the reference evaluator at
 // every sync point across execution paths, at two partition sizes.  The
 // stream digest must be partition-invariant, the ScanStats identity must
 // hold, and with small partitions the synopses must actually prune.
