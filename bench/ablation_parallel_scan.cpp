@@ -1,4 +1,4 @@
-// A8 — Morsel-parallel temporal scans and WAL group commit.
+// A12 — Morsel-parallel temporal scans and WAL group commit.
 //
 // Thread sweep (0 = parallelism off, then 1..8 workers) over the probes
 // the figures exercise — valid timeslice, rollback cube, and the TQuel

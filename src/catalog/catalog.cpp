@@ -61,44 +61,56 @@ std::vector<RelationInfo> Catalog::ListRelations() const {
   return out;
 }
 
+void EncodeRelationInfo(const RelationInfo& info, std::string* out) {
+  PutFixed64(out, info.id);
+  PutLengthPrefixed(out, info.name);
+  info.schema.EncodeTo(out);
+  PutFixed32(out, static_cast<uint32_t>(info.temporal_class));
+  PutFixed32(out, static_cast<uint32_t>(info.data_model));
+  PutFixed32(out, info.persistent ? 1 : 0);
+}
+
+Result<RelationInfo> DecodeRelationInfo(std::string_view* in) {
+  RelationInfo info;
+  std::string_view name;
+  if (!GetFixed64(in, &info.id) || !GetLengthPrefixed(in, &name)) {
+    return Status::Corruption("catalog: truncated relation entry");
+  }
+  info.name = std::string(name);
+  TDB_ASSIGN_OR_RETURN(info.schema, Schema::DecodeFrom(in));
+  uint32_t tclass, dmodel, persistent;
+  if (!GetFixed32(in, &tclass) || !GetFixed32(in, &dmodel) ||
+      !GetFixed32(in, &persistent)) {
+    return Status::Corruption("catalog: truncated relation flags");
+  }
+  if (tclass > static_cast<uint32_t>(TemporalClass::kTemporal) ||
+      dmodel > static_cast<uint32_t>(TemporalDataModel::kEvent)) {
+    return Status::Corruption("catalog: unknown temporal class or model");
+  }
+  info.temporal_class = static_cast<TemporalClass>(tclass);
+  info.data_model = static_cast<TemporalDataModel>(dmodel);
+  info.persistent = persistent != 0;
+  return info;
+}
+
 void Catalog::EncodeTo(std::string* out) const {
   PutFixed64(out, next_id_);
   PutFixed32(out, static_cast<uint32_t>(relations_.size()));
-  for (const auto& [name, info] : relations_) {
-    PutFixed64(out, info.id);
-    PutLengthPrefixed(out, info.name);
-    info.schema.EncodeTo(out);
-    PutFixed32(out, static_cast<uint32_t>(info.temporal_class));
-    PutFixed32(out, static_cast<uint32_t>(info.data_model));
-    PutFixed32(out, info.persistent ? 1 : 0);
-  }
+  for (const auto& [name, info] : relations_) EncodeRelationInfo(info, out);
 }
 
 Result<Catalog> Catalog::DecodeFrom(std::string_view* in) {
   Catalog catalog;
-  uint64_t next_id;
   uint32_t count;
-  if (!GetFixed64(in, &next_id) || !GetFixed32(in, &count)) {
+  if (!GetFixed64(in, &catalog.next_id_) || !GetFixed32(in, &count)) {
     return Status::Corruption("catalog: truncated header");
   }
-  catalog.next_id_ = next_id;
   for (uint32_t i = 0; i < count; ++i) {
-    RelationInfo info;
-    std::string_view name;
-    if (!GetFixed64(in, &info.id) || !GetLengthPrefixed(in, &name)) {
-      return Status::Corruption("catalog: truncated relation entry");
+    TDB_ASSIGN_OR_RETURN(RelationInfo info, DecodeRelationInfo(in));
+    if (info.id >= catalog.next_id_ ||
+        !catalog.relations_.emplace(info.name, info).second) {
+      return Status::Corruption("catalog: duplicate or out-of-range entry");
     }
-    info.name = std::string(name);
-    TDB_ASSIGN_OR_RETURN(info.schema, Schema::DecodeFrom(in));
-    uint32_t tclass, dmodel, persistent;
-    if (!GetFixed32(in, &tclass) || !GetFixed32(in, &dmodel) ||
-        !GetFixed32(in, &persistent)) {
-      return Status::Corruption("catalog: truncated relation flags");
-    }
-    info.temporal_class = static_cast<TemporalClass>(tclass);
-    info.data_model = static_cast<TemporalDataModel>(dmodel);
-    info.persistent = persistent != 0;
-    catalog.relations_.emplace(info.name, info);
   }
   return catalog;
 }

@@ -19,8 +19,14 @@ struct RelationInfo {
   Schema schema;                   ///< Explicit attributes only.
   TemporalClass temporal_class = TemporalClass::kStatic;
   TemporalDataModel data_model = TemporalDataModel::kInterval;
-  bool persistent = false;         ///< Backed by the paged storage engine.
+  bool persistent = false;         ///< Logged and checkpointed to disk.
 };
+
+/// Binary round-trip of one catalog entry; the WAL logs `create` in the
+/// same encoding.  Decoding consumes from `*in` and returns Corruption on
+/// truncated input or an out-of-range class, data model or attribute type.
+void EncodeRelationInfo(const RelationInfo& info, std::string* out);
+Result<RelationInfo> DecodeRelationInfo(std::string_view* in);
 
 /// The system catalog: relation name -> metadata.
 ///

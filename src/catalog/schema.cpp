@@ -1,5 +1,6 @@
 #include "catalog/schema.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/coding.h"
@@ -76,12 +77,17 @@ Result<Schema> Schema::DecodeFrom(std::string_view* in) {
     return Status::Corruption("schema: truncated attribute count");
   }
   std::vector<Attribute> attrs;
-  attrs.reserve(n);
+  // Each attribute takes at least 8 bytes, so a hostile count cannot make
+  // the reservation outgrow the input.
+  attrs.reserve(std::min<size_t>(n, in->size() / 8));
   for (uint32_t i = 0; i < n; ++i) {
     std::string_view name;
     uint32_t vt;
     if (!GetLengthPrefixed(in, &name) || !GetFixed32(in, &vt)) {
       return Status::Corruption("schema: truncated attribute");
+    }
+    if (vt > static_cast<uint32_t>(ValueType::kBool)) {
+      return Status::Corruption("schema: unknown attribute type");
     }
     attrs.push_back(
         Attribute{std::string(name), Type(static_cast<ValueType>(vt))});

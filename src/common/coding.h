@@ -1,6 +1,7 @@
 #ifndef TEMPORADB_COMMON_CODING_H_
 #define TEMPORADB_COMMON_CODING_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -13,9 +14,14 @@ namespace temporadb {
 /// string_view cursor and return false on underflow (treated as corruption
 /// by callers).
 
+// The Put/Get functions copy host integers byte for byte, so the on-disk
+// format is little-endian only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "temporadb's on-disk encoding assumes a little-endian host");
+
 inline void PutFixed32(std::string* dst, uint32_t v) {
   char buf[4];
-  std::memcpy(buf, &v, 4);  // Little-endian hosts only (asserted in pager).
+  std::memcpy(buf, &v, 4);
   dst->append(buf, 4);
 }
 
@@ -53,9 +59,12 @@ inline bool GetLengthPrefixed(std::string_view* in, std::string_view* out) {
   return true;
 }
 
-/// FNV-1a over a byte range; used as the page and WAL-record checksum.
-inline uint64_t Checksum64(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ULL;
+/// FNV-1a over a byte range; the checksum of WAL and checkpoint records.
+/// Passing the checksum of a prefix as `h` continues it over the next
+/// bytes, so a record's checksum needs no contiguous copy of the record.
+inline constexpr uint64_t kChecksumSeed = 1469598103934665603ULL;
+inline uint64_t Checksum64(const char* data, size_t n,
+                           uint64_t h = kChecksumSeed) {
   for (size_t i = 0; i < n; ++i) {
     h ^= static_cast<unsigned char>(data[i]);
     h *= 1099511628211ULL;

@@ -6,7 +6,7 @@
 
 #include "common/coding.h"
 #include "common/strings.h"
-#include "storage/heap_file.h"
+#include "core/checkpoint.h"
 #include "tquel/parser.h"
 
 namespace temporadb {
@@ -43,36 +43,6 @@ Result<std::pair<uint64_t, VersionOp>> DecodeVersionOp(std::string_view in) {
   op.tt_end = Chronon(static_cast<int64_t>(tt_end));
   TDB_ASSIGN_OR_RETURN(op.tuple, BitemporalTuple::DecodeFrom(&in));
   return std::make_pair(rel_id, std::move(op));
-}
-
-std::string EncodeRelationInfo(const RelationInfo& info) {
-  std::string out;
-  PutFixed64(&out, info.id);
-  PutLengthPrefixed(&out, info.name);
-  info.schema.EncodeTo(&out);
-  PutFixed32(&out, static_cast<uint32_t>(info.temporal_class));
-  PutFixed32(&out, static_cast<uint32_t>(info.data_model));
-  PutFixed32(&out, info.persistent ? 1 : 0);
-  return out;
-}
-
-Result<RelationInfo> DecodeRelationInfo(std::string_view in) {
-  RelationInfo info;
-  std::string_view name;
-  if (!GetFixed64(&in, &info.id) || !GetLengthPrefixed(&in, &name)) {
-    return Status::Corruption("WAL: truncated relation info");
-  }
-  info.name = std::string(name);
-  TDB_ASSIGN_OR_RETURN(info.schema, Schema::DecodeFrom(&in));
-  uint32_t cls, model, persistent;
-  if (!GetFixed32(&in, &cls) || !GetFixed32(&in, &model) ||
-      !GetFixed32(&in, &persistent)) {
-    return Status::Corruption("WAL: truncated relation flags");
-  }
-  info.temporal_class = static_cast<TemporalClass>(cls);
-  info.data_model = static_cast<TemporalDataModel>(model);
-  info.persistent = persistent != 0;
-  return info;
 }
 
 constexpr const char* kWalPoisonedMessage =
@@ -181,99 +151,14 @@ Status Database::Recover() {
 }
 
 Status Database::LoadCheckpoint(const std::string& dir) {
-  TDB_ASSIGN_OR_RETURN(std::string blob,
-                       ReadFileToString(fs_, dir + "/catalog.tdb"));
-  std::string_view view = blob;
-  uint64_t stored_sum;
-  if (!GetFixed64(&view, &stored_sum) ||
-      stored_sum != Checksum64(view.data(), view.size())) {
-    return Status::Corruption("checkpoint catalog checksum mismatch");
-  }
-  TDB_ASSIGN_OR_RETURN(catalog_, Catalog::DecodeFrom(&view));
-  // Partition sidecar: sealed epoch boundaries + synopses per relation, so
-  // recovery reinstalls the partition directory instead of rescanning every
-  // relation's history to rebuild it.  A checkpoint written before the
-  // sidecar existed simply has none — the stores reseal at EndLoad.
-  std::map<uint64_t, std::vector<PartitionSynopsis>> sealed_by_rel;
-  {
-    Result<std::string> sidecar =
-        ReadFileToString(fs_, dir + "/partitions.tdb");
-    if (!sidecar.ok() && !sidecar.status().IsNotFound()) {
-      return sidecar.status();
-    }
-    if (sidecar.ok()) {
-      std::string_view in = *sidecar;
-      uint64_t sum;
-      if (!GetFixed64(&in, &sum) || sum != Checksum64(in.data(), in.size())) {
-        return Status::Corruption("checkpoint partition checksum mismatch");
-      }
-      uint32_t version;
-      uint64_t n_rels;
-      if (!GetFixed32(&in, &version) || version != 1 ||
-          !GetFixed64(&in, &n_rels)) {
-        return Status::Corruption("checkpoint partition header malformed");
-      }
-      for (uint64_t r = 0; r < n_rels; ++r) {
-        uint64_t rel_id, n_parts;
-        if (!GetFixed64(&in, &rel_id) || !GetFixed64(&in, &n_parts)) {
-          return Status::Corruption("checkpoint partition entry malformed");
-        }
-        std::vector<PartitionSynopsis>& parts = sealed_by_rel[rel_id];
-        parts.resize(n_parts);
-        for (uint64_t p = 0; p < n_parts; ++p) {
-          if (!PartitionSynopsis::DecodeFrom(&in, &parts[p])) {
-            return Status::Corruption("checkpoint partition synopsis "
-                                      "malformed");
-          }
-        }
-      }
-    }
-  }
-  for (const RelationInfo& info : catalog_.ListRelations()) {
-    auto rel = MakeStoredRelation(info, options_.store_options);
-    StoredRelation* ptr = rel.get();
-    relations_[info.name] = std::move(rel);
-    relations_by_id_[info.id] = ptr;
-    WireObserver(ptr);
-    // Load the relation's slots from its heap file.
-    std::string heap_path = dir + StringPrintf("/rel-%llu.heap",
-                                               (unsigned long long)info.id);
-    TDB_ASSIGN_OR_RETURN(std::unique_ptr<FilePager> pager,
-                         FilePager::Open(fs_, heap_path));
-    TDB_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> heap,
-                         HeapFile::Open(std::move(pager)));
-    ptr->store()->BeginLoad();
-    Status scan = heap->Scan([&](RecordId, Slice record) -> Status {
-      std::string_view in = record.view();
-      if (in.empty()) return Status::Corruption("empty checkpoint record");
-      bool live = in[0] != 0;
-      in.remove_prefix(1);
-      if (live) {
-        TDB_ASSIGN_OR_RETURN(BitemporalTuple tuple,
-                             BitemporalTuple::DecodeFrom(&in));
-        // Transaction time must never regress across recovery, even when
-        // the checkpoint truncated the WAL records that carried the
-        // original timestamps.
-        if (tuple.txn.begin().IsFinite()) {
-          txn_manager_->ObserveRecoveredTimestamp(tuple.txn.begin());
-        }
-        if (tuple.txn.end().IsFinite()) {
-          txn_manager_->ObserveRecoveredTimestamp(tuple.txn.end());
-        }
-        ptr->store()->LoadSlot(std::move(tuple));
-      } else {
-        ptr->store()->LoadSlot(std::nullopt);
-      }
-      return Status::OK();
-    });
-    TDB_RETURN_IF_ERROR(scan);
-    auto it = sealed_by_rel.find(info.id);
-    if (it != sealed_by_rel.end()) {
-      TDB_RETURN_IF_ERROR(
-          ptr->store()->InstallSealedPartitions(std::move(it->second)));
-    }
-    ptr->store()->EndLoad();
-  }
+  TDB_ASSIGN_OR_RETURN(
+      LoadedCheckpoint loaded,
+      ReadCheckpoint(fs_, dir + "/" + kCheckpointFileName,
+                     [&](const RelationInfo& info) -> Result<VersionStore*> {
+                       return AddRelation(info)->store();
+                     }));
+  catalog_ = std::move(loaded.catalog);
+  txn_manager_->ObserveRecoveredTimestamp(loaded.latest_txn_time);
   return Status::OK();
 }
 
@@ -321,18 +206,14 @@ Status Database::ReplayWal(uint64_t from_lsn) {
         return Status::OK();
       }
       case kWalCreateRelation: {
-        TDB_ASSIGN_OR_RETURN(RelationInfo info, DecodeRelationInfo(payload));
+        TDB_ASSIGN_OR_RETURN(RelationInfo info, DecodeRelationInfo(&payload));
         TDB_ASSIGN_OR_RETURN(
             RelationInfo created,
             catalog_.CreateRelation(info.name, info.schema,
                                     info.temporal_class, info.data_model,
                                     info.persistent));
         (void)created;
-        auto rel = MakeStoredRelation(info, options_.store_options);
-        StoredRelation* ptr = rel.get();
-        relations_[info.name] = std::move(rel);
-        relations_by_id_[info.id] = ptr;
-        WireObserver(ptr);
+        AddRelation(info);
         return Status::OK();
       }
       case kWalDropRelation: {
@@ -366,12 +247,18 @@ Status Database::LogDdl(uint32_t type, const std::string& payload) {
   return commit_queue_->Commit(batch, /*sync=*/true);
 }
 
-void Database::WireObserver(StoredRelation* rel) {
-  uint64_t id = rel->info().id;
-  rel->store()->set_observer([this, id](const VersionOp& op) {
+StoredRelation* Database::AddRelation(const RelationInfo& info) {
+  std::unique_ptr<StoredRelation> rel =
+      MakeStoredRelation(info, options_.store_options);
+  StoredRelation* ptr = rel.get();
+  relations_[info.name] = std::move(rel);
+  relations_by_id_[info.id] = ptr;
+  const uint64_t id = info.id;
+  ptr->store()->set_observer([this, id](const VersionOp& op) {
     if (wal_ == nullptr || replaying_) return;
     redo_buffer_.emplace_back(id, op);
   });
+  return ptr;
 }
 
 Result<RelationInfo> Database::CreateRelation(const std::string& name,
@@ -387,12 +274,10 @@ Result<RelationInfo> Database::CreateRelation(const std::string& name,
       RelationInfo info,
       catalog_.CreateRelation(name, std::move(schema), temporal_class,
                               data_model, !options_.path.empty()));
-  auto rel = MakeStoredRelation(info, options_.store_options);
-  StoredRelation* ptr = rel.get();
-  relations_[name] = std::move(rel);
-  relations_by_id_[info.id] = ptr;
-  WireObserver(ptr);
-  TDB_RETURN_IF_ERROR(LogDdl(kWalCreateRelation, EncodeRelationInfo(info)));
+  AddRelation(info);
+  std::string payload;
+  EncodeRelationInfo(info, &payload);
+  TDB_RETURN_IF_ERROR(LogDdl(kWalCreateRelation, payload));
   return info;
 }
 
@@ -665,60 +550,13 @@ Status Database::Checkpoint(bool compact) {
   std::string dir = options_.path + "/" + dir_name;
   TDB_RETURN_IF_ERROR(RemoveDirRecursive(fs_, dir));  // Stale partial attempt.
   TDB_RETURN_IF_ERROR(fs_->MakeDir(dir));
-  // Catalog.
-  std::string payload;
-  catalog_.EncodeTo(&payload);
-  std::string blob;
-  PutFixed64(&blob, Checksum64(payload.data(), payload.size()));
-  blob += payload;
-  TDB_RETURN_IF_ERROR(WriteFileDurable(fs_, dir + "/catalog.tdb", blob));
-  // Relations.
-  for (const auto& [name, rel] : relations_) {
-    std::string heap_path = dir + StringPrintf(
-        "/rel-%llu.heap", (unsigned long long)rel->info().id);
-    TDB_ASSIGN_OR_RETURN(std::unique_ptr<FilePager> pager,
-                         FilePager::Open(fs_, heap_path));
-    TDB_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> heap,
-                         HeapFile::Open(std::move(pager)));
-    Status status = Status::OK();
-    rel->store()->ForEachSlot([&](RowId, const BitemporalTuple* tuple) {
-      if (!status.ok()) return;
-      std::string record;
-      record.push_back(tuple != nullptr ? 1 : 0);
-      if (tuple != nullptr) tuple->EncodeTo(&record);
-      Result<RecordId> id = heap->Append(record);
-      if (!id.ok()) status = id.status();
-    });
-    TDB_RETURN_IF_ERROR(status);
-    // Flush fsyncs the heap's pages; the SyncDir below persists its
-    // directory entry.
-    TDB_RETURN_IF_ERROR(heap->Flush());
-  }
-  // Partition sidecar: the sealed epoch directory of every relation, so
-  // recovery reinstalls partitions (and their synopses) instead of
-  // rescanning each relation's history.  Row ids in the heap are positional
-  // and the heap is written in row order, so the serialized boundaries keep
-  // meaning the same rows after reload.
-  {
-    std::string parts;
-    PutFixed32(&parts, 1);  // Format version.
-    PutFixed64(&parts, relations_.size());
-    for (const auto& [name, rel] : relations_) {
-      const VersionStore* store = rel->store();
-      PutFixed64(&parts, rel->info().id);
-      PutFixed64(&parts, store->sealed_partition_count());
-      for (size_t i = 0; i < store->sealed_partition_count(); ++i) {
-        store->sealed_partition(i).EncodeTo(&parts);
-      }
-    }
-    std::string sidecar;
-    PutFixed64(&sidecar, Checksum64(parts.data(), parts.size()));
-    sidecar += parts;
-    TDB_RETURN_IF_ERROR(
-        WriteFileDurable(fs_, dir + "/partitions.tdb", sidecar));
-  }
-  // Every file inside ckpt-N must be durable *and findable* before CURRENT
-  // can name the directory.
+  TDB_RETURN_IF_ERROR(WriteCheckpoint(
+      fs_, dir + "/" + kCheckpointFileName, catalog_,
+      [&](const RelationInfo& info) -> const VersionStore* {
+        return relations_by_id_.at(info.id)->store();
+      }));
+  // The checkpoint file is synced; its directory entry must be durable
+  // too before CURRENT can name the directory.
   TDB_RETURN_IF_ERROR(fs_->SyncDir(dir));
   // Publish.  CURRENT carries the WAL resume LSN: every record currently
   // in the log is below it, so even if the truncation that follows never

@@ -177,7 +177,9 @@ class Database {
   /// watermark, bumps the commit sequence, and records `ts` (when finite)
   /// as the last commit timestamp.  Writer-thread only.
   void PublishMvcc(Chronon ts);
-  void WireObserver(StoredRelation* rel);
+  /// Creates the relation object of a catalog entry, registers it by name
+  /// and id, and routes its version ops into the redo buffer.
+  StoredRelation* AddRelation(const RelationInfo& info);
   tquel::EvalContext MakeEvalContext(Transaction* txn);
   Result<StoredRelation*> GetRelationInternal(std::string_view name);
   Status CreateFromStmt(const tquel::CreateStmt& stmt);

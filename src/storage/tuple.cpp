@@ -1,5 +1,7 @@
 #include "storage/tuple.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 #include "common/strings.h"
 
@@ -106,7 +108,9 @@ Result<std::vector<Value>> DecodeValues(std::string_view* in) {
   uint32_t n;
   if (!GetFixed32(in, &n)) return Status::Corruption("tuple: truncated arity");
   std::vector<Value> values;
-  values.reserve(n);
+  // Every value takes at least its tag byte: a hostile arity cannot make
+  // the reservation outgrow the input.
+  values.reserve(std::min<size_t>(n, in->size()));
   for (uint32_t i = 0; i < n; ++i) {
     TDB_ASSIGN_OR_RETURN(Value v, DecodeOne(in));
     values.push_back(std::move(v));

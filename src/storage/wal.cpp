@@ -1,7 +1,6 @@
 #include "storage/wal.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/coding.h"
 #include "common/strings.h"
@@ -10,13 +9,8 @@ namespace temporadb {
 
 namespace {
 
-// Record wire format:
-//   u64 lsn | u32 type | u32 payload_len | payload | u64 checksum
-// The checksum covers everything before it.
-constexpr size_t kRecordHeaderSize = 8 + 4 + 4;
-constexpr uint32_t kMaxPayload = 64u << 20;
-
 // Log header: u64 magic | u64 start_lsn | u64 checksum(first 16 bytes).
+// Records follow it in the framing of storage/record.h, `seq` being the LSN.
 constexpr uint64_t kWalMagic = 0x54444257414C3031ULL;  // "TDBWAL01"
 
 struct ScanResult {
@@ -28,29 +22,8 @@ struct ScanResult {
 /// tell mid-log corruption (intact records follow the damage) from a torn
 /// tail (nothing intelligible follows).
 Result<bool> ValidRecordAt(File* file, uint64_t offset) {
-  char header[kRecordHeaderSize];
-  TDB_ASSIGN_OR_RETURN(size_t n, file->ReadAt(offset, header, kRecordHeaderSize));
-  if (n < kRecordHeaderSize) return false;
-  std::string_view hv(header, kRecordHeaderSize);
-  uint64_t lsn;
-  uint32_t type, len;
-  GetFixed64(&hv, &lsn);
-  GetFixed32(&hv, &type);
-  GetFixed32(&hv, &len);
-  if (len > kMaxPayload) return false;
-  std::string body(len, '\0');
-  TDB_ASSIGN_OR_RETURN(size_t bn,
-                       file->ReadAt(offset + kRecordHeaderSize, body.data(), len));
-  if (bn < len) return false;
-  char sumbuf[8];
-  TDB_ASSIGN_OR_RETURN(size_t sn,
-                       file->ReadAt(offset + kRecordHeaderSize + len, sumbuf, 8));
-  if (sn < 8) return false;
-  uint64_t stored;
-  std::memcpy(&stored, sumbuf, 8);
-  std::string covered(header, kRecordHeaderSize);
-  covered += body;
-  return Checksum64(covered.data(), covered.size()) == stored;
+  TDB_ASSIGN_OR_RETURN(FramedRecord rec, ReadRecordAt(file, offset));
+  return rec.state == FramedRecord::State::kIntact;
 }
 
 /// Scans the records after the header.  Stops cleanly at a torn tail
@@ -64,37 +37,15 @@ Result<ScanResult> ScanLog(File* file, uint64_t start_lsn,
   uint64_t offset = WriteAheadLog::kHeaderSize;
   uint64_t expected = start_lsn;
   while (true) {
-    char header[kRecordHeaderSize];
-    TDB_ASSIGN_OR_RETURN(size_t n,
-                         file->ReadAt(offset, header, kRecordHeaderSize));
-    if (n < kRecordHeaderSize) break;  // Clean EOF or torn tail.
-    std::string_view hv(header, kRecordHeaderSize);
-    uint64_t lsn;
-    uint32_t type, len;
-    GetFixed64(&hv, &lsn);
-    GetFixed32(&hv, &type);
-    GetFixed32(&hv, &len);
-    if (len > kMaxPayload) break;  // Implausible length: treat as a tear.
-    std::string body(len, '\0');
-    TDB_ASSIGN_OR_RETURN(size_t bn,
-                         file->ReadAt(offset + kRecordHeaderSize, body.data(),
-                                      len));
-    if (bn < len) break;
-    char sumbuf[8];
-    TDB_ASSIGN_OR_RETURN(size_t sn, file->ReadAt(
-        offset + kRecordHeaderSize + len, sumbuf, 8));
-    if (sn < 8) break;
-    uint64_t stored;
-    std::memcpy(&stored, sumbuf, 8);
-    std::string covered(header, kRecordHeaderSize);
-    covered += body;
-    uint64_t record_size = kRecordHeaderSize + len + 8;
-    if (Checksum64(covered.data(), covered.size()) != stored) {
+    TDB_ASSIGN_OR_RETURN(FramedRecord rec, ReadRecordAt(file, offset));
+    // Clean EOF, a torn tail, or an implausible length (also a tear).
+    if (rec.state == FramedRecord::State::kTruncated) break;
+    if (rec.state == FramedRecord::State::kBadChecksum) {
       // Damaged record.  A tear is only a tear if nothing intact follows;
       // otherwise acknowledged data was corrupted and silence would drop
       // committed transactions.
       TDB_ASSIGN_OR_RETURN(bool intact_follows,
-                           ValidRecordAt(file, offset + record_size));
+                           ValidRecordAt(file, offset + rec.size));
       if (intact_follows) {
         return Status::Corruption(StringPrintf(
             "WAL: corrupt record at offset %llu followed by intact records",
@@ -102,22 +53,22 @@ Result<ScanResult> ScanLog(File* file, uint64_t start_lsn,
       }
       break;
     }
-    if (lsn != expected) {
+    if (rec.seq != expected) {
       return Status::Corruption(StringPrintf(
           "WAL: LSN %llu at offset %llu, expected %llu",
-          (unsigned long long)lsn, (unsigned long long)offset,
+          (unsigned long long)rec.seq, (unsigned long long)offset,
           (unsigned long long)expected));
     }
-    if (fn != nullptr && lsn >= from_lsn) {
-      WalRecord rec;
-      rec.lsn = lsn;
-      rec.type = type;
-      rec.payload = std::move(body);
-      TDB_RETURN_IF_ERROR((*fn)(rec));
+    if (fn != nullptr && rec.seq >= from_lsn) {
+      WalRecord wal_rec;
+      wal_rec.lsn = rec.seq;
+      wal_rec.type = rec.type;
+      wal_rec.payload = std::move(rec.payload);
+      TDB_RETURN_IF_ERROR((*fn)(wal_rec));
     }
-    result.next_lsn = lsn + 1;
+    result.next_lsn = rec.seq + 1;
     ++expected;
-    offset += record_size;
+    offset += rec.size;
     result.valid_bytes = offset;
   }
   return result;
@@ -196,13 +147,7 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
 Result<uint64_t> WriteAheadLog::Append(uint32_t type, Slice payload) {
   uint64_t lsn = next_lsn_;
   std::string buf;
-  buf.reserve(kRecordHeaderSize + payload.size() + 8);
-  PutFixed64(&buf, lsn);
-  PutFixed32(&buf, type);
-  PutFixed32(&buf, static_cast<uint32_t>(payload.size()));
-  buf.append(payload.data(), payload.size());
-  uint64_t sum = Checksum64(buf.data(), buf.size());
-  PutFixed64(&buf, sum);
+  TDB_RETURN_IF_ERROR(EncodeRecord(lsn, type, payload, &buf));
   TDB_RETURN_IF_ERROR(file_->WriteAt(append_offset_, buf.data(), buf.size()));
   append_offset_ += buf.size();
   ++next_lsn_;
@@ -252,6 +197,13 @@ Result<uint64_t> WriteAheadLog::SizeBytes() const { return file_->Size(); }
 
 Status CommitQueue::Commit(const std::vector<WalBatchEntry>& records,
                            bool sync) {
+  // Refused before queueing: the leader's append would fail on it anyway,
+  // but that failure would poison the queue for every later committer.
+  for (const WalBatchEntry& rec : records) {
+    if (rec.payload.size() > kMaxRecordPayload) {
+      return Status::InvalidArgument("WAL record payload exceeds 64 MiB");
+    }
+  }
   Waiter me;
   me.records = &records;
   me.sync = sync;

@@ -12,6 +12,7 @@
 #include "common/slice.h"
 #include "common/thread_annotations.h"
 #include "storage/fs.h"
+#include "storage/record.h"
 
 namespace temporadb {
 
@@ -29,8 +30,8 @@ struct WalRecord {
 /// order on top of the last checkpoint.
 ///
 /// On-disk layout: a fixed header (magic, the first LSN of this log
-/// incarnation, a checksum) followed by records `u64 lsn | u32 type |
-/// u32 len | payload | u64 checksum`.  The header is what keeps LSNs
+/// incarnation, a checksum) followed by records in the framing of
+/// `storage/record.h`, whose `seq` field is the LSN.  The header is what keeps LSNs
 /// monotone across `Truncate`+reopen: truncation rewrites the header with
 /// the resume LSN instead of silently restarting at 1.
 ///
@@ -60,6 +61,8 @@ class WriteAheadLog {
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
   /// Appends a record and returns its LSN.  Not yet durable; call `Sync`.
+  /// A payload over `kMaxRecordPayload` is InvalidArgument and writes
+  /// nothing: a reader would take it for a torn tail and drop it.
   Result<uint64_t> Append(uint32_t type, Slice payload);
 
   /// fsync barrier; a commit is acknowledged only after this succeeds.
@@ -140,7 +143,8 @@ class CommitQueue {
 
   /// Appends `records` contiguously and, with `sync`, makes them durable
   /// behind a shared fsync barrier.  Blocks until the batch's barrier
-  /// resolves.  Thread-safe.
+  /// resolves.  Thread-safe.  A record over `kMaxRecordPayload` fails the
+  /// batch with InvalidArgument before it is queued; the log stays usable.
   Status Commit(const std::vector<WalBatchEntry>& records, bool sync)
       TDB_EXCLUDES(mu_);
 

@@ -101,7 +101,7 @@ struct PartitionSynopsis {
   uint64_t size() const { return end_row - begin_row; }
 
   /// Checkpoint serialization: fixed-width little-endian fields, no
-  /// delimiters (the count prefix in the partitions file bounds the list).
+  /// delimiters (the checkpoint's partitions record carries the count).
   void EncodeTo(std::string* dst) const;
   static bool DecodeFrom(std::string_view* in, PartitionSynopsis* out);
 };

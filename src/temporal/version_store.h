@@ -522,10 +522,9 @@ class VersionStore {
   /// partitioning is disabled.
   Status InstallSealedPartitions(std::vector<PartitionSynopsis> parts);
 
-  /// Ends the checkpoint-load bracket.  A legacy checkpoint with no
-  /// partition sidecar leaves the store unpartitioned here; the next
-  /// publication (end of recovery) re-seals by scanning — slower once,
-  /// correct always.
+  /// Ends the checkpoint-load bracket.  A checkpoint written with
+  /// partitioning off installs no sealed partitions; the next publication
+  /// (end of recovery) re-seals by scanning — slower once, correct always.
   void EndLoad() {
     loading_ = false;
     MaybeSealHot();

@@ -364,8 +364,8 @@ TEST_F(PartitionPersistenceTest, SealedPartitionsSurviveCheckpointAndWal) {
       want.push_back(r.values[0].ToString() + "|" + r.values[1].ToString());
     }
   }  // "Crash": WAL tail not checkpointed.
-  // The sidecar exists next to the heap.
-  ASSERT_TRUE(std::filesystem::exists(dir_ + "/ckpt-1/partitions.tdb"));
+  // The synopses travel inside the one checkpoint file.
+  ASSERT_TRUE(std::filesystem::exists(dir_ + "/ckpt-1/checkpoint.tdb"));
   {
     auto db = Open(/*partition_rows=*/32);
     StoredRelation* rel = *db->GetRelation("t");

@@ -7,10 +7,16 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 
+#include "common/coding.h"
+#include "common/random.h"
 #include "core/database.h"
 #include "core/paper_scenario.h"
 #include "storage/fault_injection.h"
+#include "storage/record.h"
 
 namespace temporadb {
 namespace {
@@ -458,6 +464,226 @@ TEST_F(PersistenceTest, PaperScenarioPersistedEndToEnd) {
     ASSERT_TRUE(rel.ok());
     EXPECT_EQ((*rel)->store()->live_count(), 7u);  // Figure 8's seven rows.
   }
+}
+
+TEST_F(PersistenceTest, OversizeTupleSurvivesCheckpoint) {
+  // A tuple larger than any fixed page: the checkpoint must carry it whole.
+  const std::string big(10000, 'q');
+  std::vector<Row> want;
+  {
+    auto db = Open();
+    ASSERT_TRUE(
+        db->Execute("create temporal relation t (s = string, n = int)").ok());
+    ASSERT_TRUE(db->Execute("append to t (s = \"small\", n = 1)").ok());
+    ASSERT_TRUE(
+        db->Execute("append to t (s = \"" + big + "\", n = 2)").ok());
+    ASSERT_TRUE(db->Execute("append to t (s = \"after\", n = 3)").ok());
+    ASSERT_TRUE(db->Execute("range of x is t").ok());
+    Result<Rowset> rows = db->Query("retrieve (x.s, x.n)");
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    want = rows->rows();
+    ASSERT_EQ(want.size(), 3u);
+    Status ckpt = db->Checkpoint();
+    ASSERT_TRUE(ckpt.ok()) << ckpt.ToString();
+  }
+  auto db = Open();
+  ASSERT_TRUE(db->Execute("range of x is t").ok());
+  Result<Rowset> rows = db->Query("retrieve (x.s, x.n)");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows(), want);
+  EXPECT_EQ(db->WalBytes(), WriteAheadLog::kHeaderSize);  // All from the image.
+}
+
+// --- Hostile checkpoint bytes ----------------------------------------------
+
+// One framed record of a checkpoint file, located by its header alone.
+struct Frame {
+  size_t offset = 0;
+  uint64_t seq = 0;
+  uint32_t type = 0;
+  std::string payload;
+  size_t size = 0;
+};
+
+std::vector<Frame> SplitFrames(const std::string& bytes) {
+  std::vector<Frame> frames;
+  size_t offset = 0;
+  while (offset < bytes.size()) {
+    Frame f;
+    f.offset = offset;
+    std::string_view header(bytes.data() + offset, kRecordHeaderSize);
+    uint32_t len = 0;
+    GetFixed64(&header, &f.seq);
+    GetFixed32(&header, &f.type);
+    GetFixed32(&header, &len);
+    f.payload = bytes.substr(offset + kRecordHeaderSize, len);
+    f.size = kRecordHeaderSize + len + kRecordTrailerSize;
+    frames.push_back(f);
+    offset += f.size;
+  }
+  return frames;
+}
+
+class HostileCheckpointTest : public PersistenceTest {
+ protected:
+  DatabaseOptions Options() {
+    DatabaseOptions options;
+    options.path = dir_;
+    options.clock = &clock_;
+    options.store_options.partition_rows = 4;  // Several sealed partitions.
+    return options;
+  }
+
+  std::string CheckpointPath() const { return dir_ + "/ckpt-1/checkpoint.tdb"; }
+
+  // Builds a small database of all four kinds, with tombstones, closed
+  // versions and sealed partitions, checkpoints it and keeps the image.
+  void SetUp() override {
+    {
+      Result<std::unique_ptr<Database>> db = Database::Open(Options());
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      for (const char* kind : {"", "rollback ", "historical ", "temporal "}) {
+        std::string name = std::string("r") + (kind[0] != '\0' ? kind[0] : 's');
+        ASSERT_TRUE((*db)->Execute(std::string("create ") + kind +
+                                   "relation " + name +
+                                   " (name = string, n = int)")
+                        .ok());
+        ASSERT_TRUE((*db)->Execute("range of x is " + name).ok());
+        for (int i = 0; i < 12; ++i) {
+          if (i % 3 == 0) clock_.AdvanceDays(1);
+          ASSERT_TRUE((*db)->Execute("append to " + name + " (name = \"e" +
+                                     std::to_string(i) + "\", n = " +
+                                     std::to_string(i) + ")")
+                          .ok());
+        }
+        clock_.AdvanceDays(1);
+        ASSERT_TRUE(
+            (*db)->Execute("replace x (n = 100) where x.name = \"e1\"").ok());
+        ASSERT_TRUE((*db)->Execute("delete x where x.name = \"e2\"").ok());
+        if (std::string(kind) == "historical ") {
+          ASSERT_TRUE((*db)->Execute("correct x where x.name = \"e3\"").ok());
+        }
+      }
+      Status ckpt = (*db)->Checkpoint();
+      ASSERT_TRUE(ckpt.ok()) << ckpt.ToString();
+      Result<StoredRelation*> rel = (*db)->GetRelation("rt");
+      ASSERT_TRUE(rel.ok());
+      ASSERT_GT((*rel)->store()->sealed_partition_count(), 1u);
+    }
+    std::ifstream in(CheckpointPath(), std::ios::binary);
+    image_.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+    ASSERT_FALSE(image_.empty());
+    frames_ = SplitFrames(image_);
+    // The untouched image opens: the harness below is not vacuous.
+    EXPECT_TRUE(OpenWith(image_).ok());
+  }
+
+  // Installs `bytes` as the checkpoint and opens the database over it.
+  Status OpenWith(const std::string& bytes) {
+    {
+      std::ofstream out(CheckpointPath(), std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    return Database::Open(Options()).status();
+  }
+
+  // Every mutation must fail to open with a Status (never crash).
+  void ExpectRefused(const std::string& bytes, const std::string& what) {
+    Status s = OpenWith(bytes);
+    EXPECT_FALSE(s.ok()) << what << " opened";
+  }
+
+  std::string image_;
+  std::vector<Frame> frames_;
+};
+
+TEST_F(HostileCheckpointTest, ImageIsTheOnlyFileOfItsDirectory) {
+  std::vector<std::string> names;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir_ + "/ckpt-1")) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"checkpoint.tdb"});
+  // Ordinals run from 1, and the stream has at least one record per kind
+  // of content (catalog, slots, partitions, end).
+  ASSERT_GE(frames_.size(), 4u);
+  std::map<uint32_t, int> types;
+  for (size_t i = 0; i < frames_.size(); ++i) {
+    EXPECT_EQ(frames_[i].seq, i + 1);
+    ++types[frames_[i].type];
+  }
+  EXPECT_EQ(types.size(), 4u);
+}
+
+TEST_F(HostileCheckpointTest, TruncationIsDetected) {
+  std::vector<size_t> cuts;
+  for (const Frame& f : frames_) {
+    // The record boundary, then cuts inside the header, the payload and
+    // the checksum.
+    for (size_t delta : {size_t{0}, size_t{1}, size_t{8}, size_t{15},
+                         kRecordHeaderSize, f.size / 2, f.size - 1}) {
+      if (delta < f.size) cuts.push_back(f.offset + delta);
+    }
+  }
+  for (size_t cut : cuts) {
+    ExpectRefused(image_.substr(0, cut), "truncation at " + std::to_string(cut));
+  }
+  // Bytes after the end record, a dropped record and two swapped ones.
+  ExpectRefused(image_ + std::string(1, '\0'), "one trailing byte");
+  ExpectRefused(image_ + image_.substr(frames_.back().offset),
+                "a repeated end record");
+  for (size_t i = 0; i < frames_.size(); ++i) {
+    std::string dropped = image_;
+    dropped.erase(frames_[i].offset, frames_[i].size);
+    ExpectRefused(dropped, "record " + std::to_string(i + 1) + " dropped");
+  }
+  std::string swapped = image_.substr(0, frames_[1].offset) +
+                        image_.substr(frames_[2].offset, frames_[2].size) +
+                        image_.substr(frames_[1].offset, frames_[1].size) +
+                        image_.substr(frames_[2].offset + frames_[2].size);
+  ExpectRefused(swapped, "records 2 and 3 swapped");
+}
+
+TEST_F(HostileCheckpointTest, FlippedBytesAreDetected) {
+  Random rng(20250419);
+  for (int i = 0; i < 256; ++i) {
+    const size_t pos = rng.Uniform(image_.size());
+    std::string bytes = image_;
+    bytes[pos] = static_cast<char>(bytes[pos] ^ (1 + rng.Uniform(255)));
+    ExpectRefused(bytes, "byte flip at " + std::to_string(pos));
+  }
+}
+
+TEST_F(HostileCheckpointTest, TruncatedPayloadsBehindValidChecksumsAreDetected) {
+  // Re-framing a shortened payload with a correct checksum gets past the
+  // framing, so each record type's decoder must reject it on its own.
+  std::map<uint32_t, size_t> first_of_type;
+  for (size_t i = 0; i < frames_.size(); ++i) {
+    first_of_type.emplace(frames_[i].type, i);
+  }
+  ASSERT_EQ(first_of_type.size(), 4u);
+  for (const auto& [type, index] : first_of_type) {
+    const Frame& f = frames_[index];
+    const std::string before = image_.substr(0, f.offset);
+    const std::string after = image_.substr(f.offset + f.size);
+    for (size_t len = 0; len < f.payload.size(); ++len) {
+      std::string bytes = before;
+      ASSERT_TRUE(EncodeRecord(f.seq, f.type, f.payload.substr(0, len), &bytes)
+                      .ok());
+      bytes += after;
+      ExpectRefused(bytes, "record type " + std::to_string(type) +
+                               " payload cut to " + std::to_string(len));
+    }
+  }
+}
+
+TEST_F(HostileCheckpointTest, OldThreeFileLayoutIsRefused) {
+  // A directory laid out as catalog.tdb + rel-<id>.heap + partitions.tdb
+  // has no checkpoint.tdb; it is refused, not read as an empty database.
+  std::filesystem::rename(CheckpointPath(), dir_ + "/ckpt-1/catalog.tdb");
+  Result<std::unique_ptr<Database>> db = Database::Open(Options());
+  EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
 }
 
 }  // namespace

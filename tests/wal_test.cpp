@@ -296,5 +296,47 @@ TEST_F(WalTest, EmptyPayloadAllowed) {
   EXPECT_EQ(count, 1);
 }
 
+TEST_F(WalTest, OversizePayloadIsRefusedBeforeWriting) {
+  // A record longer than kMaxRecordPayload would read back as a torn tail,
+  // and the next Open would truncate it and every record after it.  So the
+  // append must fail up front and leave the log as it was.
+  const std::string big(kMaxRecordPayload + 1, 'x');
+  {
+    auto wal = WriteAheadLog::Open(path_);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE((*wal)->Append(1, "first").ok());
+    ASSERT_TRUE((*wal)->Append(2, "second").ok());
+    const uint64_t offset = (*wal)->append_offset();
+    const uint64_t lsn = (*wal)->next_lsn();
+    Result<uint64_t> refused = (*wal)->Append(3, big);
+    EXPECT_TRUE(refused.status().IsInvalidArgument())
+        << refused.status().ToString();
+    EXPECT_EQ((*wal)->append_offset(), offset);
+    EXPECT_EQ((*wal)->next_lsn(), lsn);
+    Result<uint64_t> size = (*wal)->SizeBytes();
+    ASSERT_TRUE(size.ok());
+    EXPECT_EQ(*size, offset);
+
+    // Through the group-commit queue the batch fails as a whole, and the
+    // queue is not poisoned: the refusal wrote nothing.
+    CommitQueue queue(wal->get());
+    std::vector<WalBatchEntry> batch = {{4, "unseen"}, {5, big}};
+    EXPECT_TRUE(queue.Commit(batch, /*sync=*/true).IsInvalidArgument());
+    EXPECT_FALSE(queue.poisoned());
+    ASSERT_TRUE(queue.Commit({{6, "third"}}, /*sync=*/true).ok());
+  }
+  auto wal = WriteAheadLog::Open(path_);
+  ASSERT_TRUE(wal.ok());
+  std::vector<std::string> payloads;
+  ASSERT_TRUE((*wal)
+                  ->Replay(0,
+                           [&](const WalRecord& rec) -> Status {
+                             payloads.push_back(rec.payload);
+                             return Status::OK();
+                           })
+                  .ok());
+  EXPECT_EQ(payloads, (std::vector<std::string>{"first", "second", "third"}));
+}
+
 }  // namespace
 }  // namespace temporadb
