@@ -21,9 +21,8 @@ namespace {
 // --- Wide timeslice -------------------------------------------------------
 
 // "What held during [a, b)?" with the window spanning half the populated
-// valid-time domain, so nearly every version survives the index probe and
-// the cost is dominated by the residual overlap test, one kernel pass per
-// batch.
+// valid-time domain, so nearly every epoch survives pruning and the cost
+// is dominated by the overlap test, one kernel pass per batch.
 void RunWideTimeslice(benchmark::State& state, size_t batch_rows) {
   VersionStoreOptions options;
   if (batch_rows > 0) options.batch_rows = batch_rows;
@@ -63,15 +62,11 @@ void BM_WideTimeslice_BatchSize(benchmark::State& state) {
 // --- When join ------------------------------------------------------------
 
 // Two churned historical relations joined on key where their valid periods
-// overlap (the A5 scenario).  The interval index is off, so every inner
-// probe of the index-nested-loop join degrades to a residual sweep that
-// disposes of each morsel with one branch-free kernel pass over the
-// chronon columns.  (With the index on, the probe is an exact treap probe
-// and there is nothing left to vectorize; A5 covers that axis.)
+// overlap (the A5 scenario).  Every inner scan of the nested-loop join is
+// a sweep that disposes of each morsel with one branch-free kernel pass
+// over the chronon columns.
 bench::ScenarioDb BuildJoinPair(size_t per_relation) {
-  VersionStoreOptions options;
-  options.index_valid_time = false;
-  bench::ScenarioDb sdb = bench::OpenScenarioDb(options);
+  bench::ScenarioDb sdb = bench::OpenScenarioDb();
   Random rng(5);
   for (const char* name : {"a", "b"}) {
     Schema schema = *Schema::Make({Attribute{"key", Type::String()},

@@ -36,7 +36,7 @@ constexpr size_t kChurn = 160000;
 struct ScanFixture {
   bench::ScenarioDb sdb;
   StoredRelation* rel = nullptr;
-  Period stab;     // A narrow valid window: index-selective, tiny candidates.
+  Period stab;     // A narrow valid window: few epochs survive pruning.
   Period window;   // A third of valid-time history: scan-bound candidates.
   Chronon asof;    // A past stored state (rollback probe).
 };
@@ -95,7 +95,7 @@ void BM_ParallelTimeslice(benchmark::State& state) {
   ParallelGuard guard(f.rel->store(), state.range(0));
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f.rel->store()->BatchScanValidDuring(f.window));
+    answer = Drain(f.rel->store()->BatchScan({.valid_overlaps = f.window}));
     benchmark::DoNotOptimize(answer);
   }
   state.counters["answer_rows"] = static_cast<double>(answer);
@@ -103,15 +103,14 @@ void BM_ParallelTimeslice(benchmark::State& state) {
       static_cast<double>(f.rel->store()->version_count());
 }
 
-// A narrow stab stays below the morsel threshold: the interval index
-// already cut the candidates to a handful, and the flat series documents
-// that parallelism correctly does not engage where it cannot win.
+// A narrow stab: the synopses prune all but the few epochs around it, so
+// what parallelism can win is bounded by those epochs' rows.
 void BM_ParallelTimesliceStab(benchmark::State& state) {
   ScanFixture& f = SharedHistory();
   ParallelGuard guard(f.rel->store(), state.range(0));
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f.rel->store()->BatchScanValidDuring(f.stab));
+    answer = Drain(f.rel->store()->BatchScan({.valid_overlaps = f.stab}));
     benchmark::DoNotOptimize(answer);
   }
   state.counters["answer_rows"] = static_cast<double>(answer);
@@ -122,17 +121,17 @@ void BM_ParallelRollbackCube(benchmark::State& state) {
   ParallelGuard guard(f.rel->store(), state.range(0));
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f.rel->store()->BatchScanAsOf(f.asof));
+    answer = Drain(f.rel->store()->BatchScan({.txn_contains = f.asof}));
     benchmark::DoNotOptimize(answer);
   }
   state.counters["answer_rows"] = static_cast<double>(answer);
 }
 
-// The temporal cube as a residual full sweep (the no-pushdown plan): both
-// time predicates evaluated by the kernels over the entire >100k-row
-// domain, i.e. the shape where the predicate work itself — not the index —
-// dominates, and the morsel workers carry all of it.  Partition pruning is
-// off for the run, or the synopses would skip most of the sweep.
+// The temporal cube as a full sweep: both time predicates evaluated by the
+// kernels over the entire >100k-row domain, i.e. the shape where the
+// predicate work itself dominates, and the morsel workers carry all of it.
+// Partition pruning is off for the run, or the synopses would skip most of
+// the sweep.
 void BM_ParallelTemporalCube(benchmark::State& state) {
   ScanFixture& f = SharedHistory();
   ParallelGuard guard(f.rel->store(), state.range(0));
@@ -142,7 +141,7 @@ void BM_ParallelTemporalCube(benchmark::State& state) {
   cube.valid_overlaps = f.stab;
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f.rel->store()->BatchScanAll(cube));
+    answer = Drain(f.rel->store()->BatchScan(cube));
     benchmark::DoNotOptimize(answer);
   }
   f.rel->store()->ConfigurePartitionPruning(true);
@@ -150,7 +149,7 @@ void BM_ParallelTemporalCube(benchmark::State& state) {
 }
 
 // TQuel when-join: the outer full scan parallelizes; the per-outer-tuple
-// index probes stay sequential below the morsel threshold by design.
+// inner scans parallelize only where pruning leaves enough rows.
 void BM_ParallelWhenJoin(benchmark::State& state) {
   static bench::ScenarioDb* sdb = [] {
     auto* s = new bench::ScenarioDb(bench::OpenScenarioDb());

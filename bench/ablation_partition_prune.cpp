@@ -40,14 +40,8 @@ Fixture* DeepHistory(size_t depth) {
   slot = std::make_unique<Fixture>();
   slot->clock = std::make_unique<ManualClock>();
   slot->manager = std::make_unique<TxnManager>(slot->clock.get());
-  // Secondary time indexes off: the sequential sweep is the access path
-  // pruning accelerates (and maintaining the interval index across a
-  // million-version build would dominate fixture setup).  Default 4096-row
-  // epochs; pruning toggled per arm below.
-  VersionStoreOptions options;
-  options.index_valid_time = false;
-  options.index_txn_time = false;
-  slot->store = std::make_unique<VersionStore>(options);
+  // Default 4096-row epochs; pruning toggled per arm below.
+  slot->store = std::make_unique<VersionStore>();
   bench::LargeHistoryOptions opts;
   opts.versions = depth;
   opts.seed = 17;
@@ -87,7 +81,7 @@ void RunTimeslice(benchmark::State& state, bool pruned) {
   const Period window(Chronon(f->first_day + 40), Chronon(f->first_day + 47));
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f->store->BatchScanValidDuring(window));
+    answer = Drain(f->store->BatchScan({.valid_overlaps = window}));
     benchmark::DoNotOptimize(answer);
   }
   ReportStats(state, f, stats, answer);
@@ -105,7 +99,7 @@ void RunAsOf(benchmark::State& state, bool pruned) {
   const Chronon probe(f->first_day + 40);
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f->store->BatchScanAsOf(probe));
+    answer = Drain(f->store->BatchScan({.txn_contains = probe}));
     benchmark::DoNotOptimize(answer);
   }
   ReportStats(state, f, stats, answer);

@@ -1,8 +1,9 @@
-// A4 — Valid timeslice latency with the interval index on and off.
+// A4 — Valid timeslice latency.
 //
 // Historical queries ("what was true at v?") are the other access path the
-// taxonomy demands; the treap-backed interval index answers stabbing
-// queries in O(log n + k) versus a full scan.
+// taxonomy demands.  Like rollback (A3), a timeslice is a scan of the
+// chronon columns: the synopses skip epochs whose valid-time bounds miss
+// the window, and the overlap kernel tests the rest.
 
 #include <benchmark/benchmark.h>
 
@@ -15,10 +16,15 @@ using namespace temporadb;
 
 namespace {
 
-void RunTimeslice(benchmark::State& state, bool indexed) {
-  VersionStoreOptions options;
-  options.index_valid_time = indexed;
-  bench::ScenarioDb sdb = bench::OpenScenarioDb(options);
+size_t Drain(VersionBatchScan scan) {
+  VersionBatch batch;
+  size_t rows = 0;
+  while (scan.Next(&batch)) rows += batch.size();
+  return rows;
+}
+
+void BM_Timeslice(benchmark::State& state) {
+  bench::ScenarioDb sdb = bench::OpenScenarioDb();
   StoredRelation* rel = bench::PopulateStream(
       sdb.db.get(), sdb.clock.get(), "r", TemporalClass::kHistorical, 64,
       static_cast<size_t>(state.range(0)), 17);
@@ -26,53 +32,38 @@ void RunTimeslice(benchmark::State& state, bool indexed) {
   Chronon probe = boundaries[boundaries.size() / 2];
   size_t answer = 0;
   for (auto _ : state) {
-    std::vector<RowId> rows =
-        rel->store()->ValidOverlapping(Period::At(probe));
-    answer = rows.size();
-    benchmark::DoNotOptimize(rows);
+    answer =
+        Drain(rel->store()->BatchScan({.valid_overlaps = Period::At(probe)}));
+    benchmark::DoNotOptimize(answer);
   }
   state.counters["answer_rows"] = static_cast<double>(answer);
   state.counters["history_versions"] =
       static_cast<double>(rel->store()->version_count());
 }
 
-void BM_Timeslice_Indexed(benchmark::State& state) {
-  RunTimeslice(state, true);
-}
-void BM_Timeslice_Scan(benchmark::State& state) {
-  RunTimeslice(state, false);
-}
-
 // Overlap-range queries ("valid some time during [a, b)") of varying width.
-void RunOverlapWindow(benchmark::State& state, bool indexed) {
-  VersionStoreOptions options;
-  options.index_valid_time = indexed;
-  bench::ScenarioDb sdb = bench::OpenScenarioDb(options);
+void BM_OverlapWindow(benchmark::State& state) {
+  bench::ScenarioDb sdb = bench::OpenScenarioDb();
   StoredRelation* rel = bench::PopulateStream(
       sdb.db.get(), sdb.clock.get(), "r", TemporalClass::kHistorical, 64,
       8000, 17);
   std::vector<Chronon> boundaries = ValidBoundaries(*rel->store());
   Chronon mid = boundaries[boundaries.size() / 2];
   Period window(mid, mid + state.range(0));
+  size_t answer = 0;
   for (auto _ : state) {
-    std::vector<RowId> rows = rel->store()->ValidOverlapping(window);
-    benchmark::DoNotOptimize(rows);
+    answer = Drain(rel->store()->BatchScan({.valid_overlaps = window}));
+    benchmark::DoNotOptimize(answer);
   }
-}
-
-void BM_OverlapWindow_Indexed(benchmark::State& state) {
-  RunOverlapWindow(state, true);
-}
-void BM_OverlapWindow_Scan(benchmark::State& state) {
-  RunOverlapWindow(state, false);
+  state.counters["answer_rows"] = static_cast<double>(answer);
 }
 
 // The same timeslice through the full TQuel stack: the paper's temporal
 // cube probe (`as of T when ... at v`) against a churned temporal relation,
-// with the executor's scan pushdown on and off.  With pushdown, `as of`
-// resolves through the snapshot index and the `when` window through the
-// interval index before tuples surface; without it, every retained version
-// reaches the predicate filters.
+// with the executor's `when` pushdown on and off.  With pushdown, the
+// `when` window joins the `as of` instant in the scan's predicates, so the
+// kernels drop what misses it before tuples surface; without it, every
+// version alive at the `as of` instant reaches the predicate filters.
 void RunTemporalCube(benchmark::State& state, bool time_pushdown) {
   VersionStoreOptions options;
   options.time_pushdown = time_pushdown;
@@ -114,10 +105,8 @@ void BM_TemporalCube_NoPushdown(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_Timeslice_Indexed)->Arg(1000)->Arg(4000)->Arg(16000);
-BENCHMARK(BM_Timeslice_Scan)->Arg(1000)->Arg(4000)->Arg(16000);
-BENCHMARK(BM_OverlapWindow_Indexed)->Arg(1)->Arg(30)->Arg(365);
-BENCHMARK(BM_OverlapWindow_Scan)->Arg(1)->Arg(30)->Arg(365);
+BENCHMARK(BM_Timeslice)->Arg(1000)->Arg(4000)->Arg(16000);
+BENCHMARK(BM_OverlapWindow)->Arg(1)->Arg(30)->Arg(365);
 BENCHMARK(BM_TemporalCube_Pushdown)->Arg(1000)->Arg(4000)->Arg(16000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TemporalCube_NoPushdown)->Arg(1000)->Arg(4000)->Arg(16000)

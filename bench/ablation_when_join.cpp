@@ -43,9 +43,9 @@ bench::ScenarioDb BuildPair(size_t per_relation, bool time_pushdown = true) {
 }
 
 // With pushdown, the executor re-derives x's period per outer tuple and
-// probes b's interval index (`BatchScanValidDuring`), so the inner scan
-// touches only overlapping versions; without it, every inner version is
-// surfaced and the `when` predicate filters above the store.
+// scans b with it as a valid-time predicate, so the synopses and kernels
+// drop non-overlapping versions in the store; without it, every inner
+// version is surfaced and the `when` predicate filters above the store.
 void RunWhenJoin(benchmark::State& state, bool time_pushdown) {
   bench::ScenarioDb sdb =
       BuildPair(static_cast<size_t>(state.range(0)), time_pushdown);

@@ -20,7 +20,7 @@ struct ScenarioDb {
   std::unique_ptr<Database> db;
 };
 
-/// Opens an in-memory database with a manual clock (optionally with index
+/// Opens an in-memory database with a manual clock (optionally with store
 /// toggles, for the ablations).
 ScenarioDb OpenScenarioDb(VersionStoreOptions store_options = {});
 

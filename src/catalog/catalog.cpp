@@ -1,8 +1,28 @@
 #include "catalog/catalog.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 
 namespace temporadb {
+
+namespace {
+
+// Appends `attr` to the entry's index declarations: InvalidArgument at or
+// beyond the arity, AlreadyExists for a second declaration.
+Status DeclareIndex(RelationInfo* info, uint32_t attr) {
+  if (attr >= info->schema.size()) {
+    return Status::InvalidArgument("attribute index out of range");
+  }
+  if (std::find(info->indexed_attrs.begin(), info->indexed_attrs.end(),
+                attr) != info->indexed_attrs.end()) {
+    return Status::AlreadyExists("attribute is already indexed");
+  }
+  info->indexed_attrs.push_back(attr);
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<RelationInfo> Catalog::CreateRelation(std::string name, Schema schema,
                                              TemporalClass temporal_class,
@@ -54,6 +74,14 @@ Status Catalog::DropRelation(std::string_view name) {
   return Status::OK();
 }
 
+Status Catalog::AddIndex(std::string_view name, uint32_t attr) {
+  auto it = relations_.find(name);
+  if (it == relations_.end()) {
+    return Status::NotFound("no such relation: " + std::string(name));
+  }
+  return DeclareIndex(&it->second, attr);
+}
+
 std::vector<RelationInfo> Catalog::ListRelations() const {
   std::vector<RelationInfo> out;
   out.reserve(relations_.size());
@@ -68,6 +96,8 @@ void EncodeRelationInfo(const RelationInfo& info, std::string* out) {
   PutFixed32(out, static_cast<uint32_t>(info.temporal_class));
   PutFixed32(out, static_cast<uint32_t>(info.data_model));
   PutFixed32(out, info.persistent ? 1 : 0);
+  PutFixed32(out, static_cast<uint32_t>(info.indexed_attrs.size()));
+  for (uint32_t attr : info.indexed_attrs) PutFixed32(out, attr);
 }
 
 Result<RelationInfo> DecodeRelationInfo(std::string_view* in) {
@@ -90,6 +120,22 @@ Result<RelationInfo> DecodeRelationInfo(std::string_view* in) {
   info.temporal_class = static_cast<TemporalClass>(tclass);
   info.data_model = static_cast<TemporalDataModel>(dmodel);
   info.persistent = persistent != 0;
+  // A count beyond the arity fails within arity + 1 declarations: each
+  // must be in range and new.
+  uint32_t indexes;
+  if (!GetFixed32(in, &indexes)) {
+    return Status::Corruption("catalog: truncated index count");
+  }
+  for (uint32_t i = 0; i < indexes; ++i) {
+    uint32_t attr;
+    if (!GetFixed32(in, &attr)) {
+      return Status::Corruption("catalog: truncated index declaration");
+    }
+    if (!DeclareIndex(&info, attr).ok()) {
+      return Status::Corruption(
+          "catalog: index declaration out of range or repeated");
+    }
+  }
   return info;
 }
 

@@ -20,11 +20,17 @@ struct RelationInfo {
   TemporalClass temporal_class = TemporalClass::kStatic;
   TemporalDataModel data_model = TemporalDataModel::kInterval;
   bool persistent = false;         ///< Logged and checkpointed to disk.
+  /// Attributes carrying a secondary B+-tree index (`create index`), in
+  /// declaration order.  The catalog's entry is the durable record; a
+  /// relation object's copy is taken at creation and not kept in step.
+  std::vector<uint32_t> indexed_attrs;
 };
 
 /// Binary round-trip of one catalog entry; the WAL logs `create` in the
 /// same encoding.  Decoding consumes from `*in` and returns Corruption on
-/// truncated input or an out-of-range class, data model or attribute type.
+/// truncated input, an out-of-range class, data model or attribute type,
+/// or an index declaration naming an attribute at or beyond the arity or
+/// the same attribute twice.
 void EncodeRelationInfo(const RelationInfo& info, std::string* out);
 Result<RelationInfo> DecodeRelationInfo(std::string_view* in);
 
@@ -54,6 +60,11 @@ class Catalog {
 
   /// Removes a relation (TQuel `destroy`).
   Status DropRelation(std::string_view name);
+
+  /// Records that attribute `attr` of relation `name` is indexed.  NotFound
+  /// for an unknown relation, InvalidArgument for an attribute at or beyond
+  /// the arity, AlreadyExists for a second declaration.
+  Status AddIndex(std::string_view name, uint32_t attr);
 
   /// All relations in name order.
   std::vector<RelationInfo> ListRelations() const;

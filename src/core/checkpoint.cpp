@@ -16,7 +16,8 @@ namespace temporadb {
 
 namespace {
 
-constexpr uint32_t kFormatVersion = 1;
+// 2: catalog entries carry their index declarations.  No reader for 1.
+constexpr uint32_t kFormatVersion = 2;
 
 // Record types of the checkpoint stream.
 constexpr uint32_t kCatalogRecord = 1;

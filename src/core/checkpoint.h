@@ -19,7 +19,9 @@ inline constexpr const char kCheckpointFileName[] = "checkpoint.tdb";
 /// The checkpoint image: a stream of records in the framing of
 /// `storage/record.h`, whose `seq` is the record's ordinal from 1:
 ///
-///   catalog     u32 format version | `Catalog::EncodeTo`
+///   catalog     u32 format version | `Catalog::EncodeTo` (each entry with
+///               its index declarations; the loader rebuilds those
+///               B+-trees as the relation's slots load)
 ///   then, per relation in catalog (name) order:
 ///     slots*    the relation's slots in row order, each `u8 live` followed
 ///               by `BitemporalTuple::EncodeTo` when live, in runs of about

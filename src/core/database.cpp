@@ -19,6 +19,7 @@ constexpr uint32_t kWalTxnCommit = 2;
 constexpr uint32_t kWalVersionOp = 3;
 constexpr uint32_t kWalCreateRelation = 4;
 constexpr uint32_t kWalDropRelation = 5;
+constexpr uint32_t kWalCreateIndex = 6;  // u64 relation id | u32 attribute
 
 std::string EncodeVersionOp(uint64_t rel_id, const VersionOp& op) {
   std::string out;
@@ -155,7 +156,13 @@ Status Database::LoadCheckpoint(const std::string& dir) {
       LoadedCheckpoint loaded,
       ReadCheckpoint(fs_, dir + "/" + kCheckpointFileName,
                      [&](const RelationInfo& info) -> Result<VersionStore*> {
-                       return AddRelation(info)->store();
+                       VersionStore* store = AddRelation(info)->store();
+                       // Empty B+-trees; the slot-loading pass fills them.
+                       for (uint32_t attr : info.indexed_attrs) {
+                         TDB_RETURN_IF_ERROR(
+                             store->CreateAttributeIndex(attr));
+                       }
+                       return store;
                      }));
   catalog_ = std::move(loaded.catalog);
   txn_manager_->ObserveRecoveredTimestamp(loaded.latest_txn_time);
@@ -231,6 +238,22 @@ Status Database::ReplayWal(uint64_t from_lsn) {
         }
         return Status::OK();
       }
+      case kWalCreateIndex: {
+        uint64_t rel_id;
+        uint32_t attr;
+        if (!GetFixed64(&payload, &rel_id) || !GetFixed32(&payload, &attr) ||
+            !payload.empty()) {
+          return Status::Corruption("WAL: bad create-index");
+        }
+        auto rel_it = relations_by_id_.find(rel_id);
+        if (rel_it == relations_by_id_.end() ||
+            !catalog_.AddIndex(rel_it->second->info().name, attr).ok()) {
+          return Status::Corruption(
+              "WAL: create-index names an unknown relation, an attribute "
+              "beyond its arity or an attribute already indexed");
+        }
+        return rel_it->second->store()->CreateAttributeIndex(attr);
+      }
       default:
         return Status::Corruption("WAL: unknown record type");
     }
@@ -304,6 +327,20 @@ Status Database::DropRelation(const std::string& name) {
   return LogDdl(kWalDropRelation, payload);
 }
 
+Status Database::CreateIndex(const std::string& relation,
+                             std::string_view attribute) {
+  TDB_ASSIGN_OR_RETURN(StoredRelation * rel, GetRelationInternal(relation));
+  TDB_RETURN_IF_ERROR(rel->CreateIndex(attribute));
+  // CreateIndex just resolved the name.
+  const uint32_t attr =
+      static_cast<uint32_t>(*rel->schema().IndexOf(attribute));
+  TDB_RETURN_IF_ERROR(catalog_.AddIndex(relation, attr));
+  std::string payload;
+  PutFixed64(&payload, rel->info().id);
+  PutFixed32(&payload, attr);
+  return LogDdl(kWalCreateIndex, payload);
+}
+
 Result<StoredRelation*> Database::GetRelationInternal(std::string_view name) {
   auto it = relations_.find(std::string(name));
   if (it == relations_.end()) {
@@ -344,6 +381,10 @@ tquel::EvalContext Database::MakeEvalContext(Transaction* txn) {
   };
   ctx.drop_relation = [this](std::string_view name) {
     return DropRelation(std::string(name));
+  };
+  ctx.create_index = [this](std::string_view relation,
+                            std::string_view attribute) {
+    return CreateIndex(std::string(relation), attribute);
   };
   ctx.ranges = &ranges_;
   ctx.derived = &derived_;

@@ -91,6 +91,11 @@ class Database {
 
   Status DropRelation(const std::string& name);
 
+  /// Creates a secondary B+-tree index on `relation.attribute` (TQuel
+  /// `create index`).  The declaration is logged and checkpointed, so a
+  /// reopened database rebuilds the index while it loads the relation.
+  Status CreateIndex(const std::string& relation, std::string_view attribute);
+
   Result<StoredRelation*> GetRelation(std::string_view name);
   std::vector<RelationInfo> ListRelations() const;
 

@@ -17,72 +17,14 @@ struct MorselOptions {
   size_t morsel_rows = 2048;
 };
 
-/// Number of contiguous morsels covering a domain of `n` rows.
-size_t MorselCount(size_t n, const MorselOptions& opts = {});
-
-/// The half-open row range `[begin, end)` of morsel `m`.
-std::pair<size_t, size_t> MorselRange(size_t m, size_t n,
-                                      const MorselOptions& opts = {});
-
-/// The morsel-parallel scan driver.
-///
-/// Splits the index domain `[0, n)` into contiguous morsels, runs
-/// `probe(begin, end, &out)` for each morsel on the pool's workers (and
-/// the calling thread), and merges the per-morsel outputs back **in morsel
-/// order**.  Because morsels are contiguous and each worker appends to its
-/// own morsel's vector, the merged sequence is bit-identical to what a
-/// single thread running `probe(0, n, &out)` would produce — ascending
-/// domain order, independent of thread count and scheduling.  That
-/// determinism is load-bearing: the ablation harness diffs parallel
-/// against sequential results row for row.
-///
-/// `probe` is invoked concurrently from multiple threads and must only
-/// read shared state (the version store's immutable slots below the scan's
-/// watermark) and write to its own `out`.
-///
-/// With a null `pool` (or a pool of size 1) the scan degenerates to a
-/// sequential loop over the morsels on the calling thread — same output,
-/// no threads.
-///
-/// The pool belongs to the writer's side of the house: it is driven by
-/// writer-thread scans only.  Snapshot-isolated readers (`ReadSnapshot`)
-/// never enter this driver — their scans are sequential on the reading
-/// thread by design, so concurrent pinned readers cannot contend for (or
-/// deadlock on) the single-job pool the writer is using.
-template <typename Match, typename Probe>
-std::vector<Match> ParallelScan(ThreadPool* pool, size_t n,
-                                const Probe& probe,
-                                MorselOptions opts = {}) {
-  std::vector<Match> merged;
-  if (n == 0) return merged;
-  const size_t morsels = MorselCount(n, opts);
-  if (pool == nullptr || pool->size() <= 1 || morsels <= 1) {
-    probe(0, n, &merged);
-    return merged;
-  }
-  std::vector<std::vector<Match>> per_morsel(morsels);
-  pool->ParallelFor(morsels, [&](size_t m) {
-    auto [begin, end] = MorselRange(m, n, opts);
-    probe(begin, end, &per_morsel[m]);
-  });
-  size_t total = 0;
-  for (const std::vector<Match>& part : per_morsel) total += part.size();
-  merged.reserve(total);
-  for (std::vector<Match>& part : per_morsel) {
-    merged.insert(merged.end(), std::make_move_iterator(part.begin()),
-                  std::make_move_iterator(part.end()));
-  }
-  return merged;
-}
-
 /// Slices a list of disjoint ascending row ranges (the survivors of
 /// partition pruning) into contiguous chunks of at most `chunk_rows` rows,
 /// restarting the chunk grid at every range boundary.  This is where morsel
 /// geometry becomes partition-aligned: a pruned partition contributes no
 /// range, hence no chunk, hence no morsel — it never enters the scheduler
-/// at all.  With the single range `[0, n)` the chunk list is exactly the
-/// classic `MorselRange` grid, so an unpruned scan keeps bit-identical
-/// geometry (including batch boundaries) with the pre-partition code.
+/// at all.  With the single range `[0, n)` the chunk list is the plain
+/// grid `[0, c), [c, 2c), ...`, so an unpruned scan keeps the geometry
+/// (including batch boundaries) of an unpartitioned store.
 ///
 /// `Range` needs `.begin`/`.end` members and brace-init (`RowRange`).
 template <typename Range>
@@ -99,14 +41,27 @@ std::vector<Range> RangeChunks(const std::vector<Range>& ranges,
   return chunks;
 }
 
-/// Range-restricted twin of `ParallelScan`: the domain is a list of
-/// disjoint ascending row ranges instead of `[0, n)`.  Each chunk from
-/// `RangeChunks(ranges, opts.morsel_rows)` is one morsel; `probe` runs per
-/// chunk (concurrently on the pool's workers) and outputs merge back in
-/// chunk order, so the result is bit-identical to a single thread probing
-/// the chunks front to back — and, because chunk geometry is independent of
+/// Runs a morsel-parallel scan.  The domain is a list of disjoint
+/// ascending row ranges (the survivors of partition pruning); each chunk
+/// from `RangeChunks(ranges, opts.morsel_rows)` is one morsel.  `probe(begin,
+/// end, &out)` runs per chunk, concurrently on the pool's workers (and the
+/// calling thread), and the per-chunk outputs merge back **in chunk
+/// order**, so the result is bit-identical to a single thread probing the
+/// chunks front to back — and, because chunk geometry is independent of
 /// thread count, identical across every pool size including the sequential
-/// fallback.
+/// fallback (a null pool, or a pool of size 1).  That determinism is
+/// load-bearing: the tests diff parallel against sequential results row
+/// for row.
+///
+/// `probe` is invoked concurrently from multiple threads and must only
+/// read shared state (the version store's immutable slots below the scan's
+/// watermark) and write to its own `out`.
+///
+/// The pool belongs to the writer's side of the house: it is driven by
+/// writer-thread scans only.  Snapshot-isolated readers (`ReadSnapshot`)
+/// never call this — their scans are sequential on the reading thread
+/// by design, so concurrent pinned readers cannot contend for (or
+/// deadlock on) the single-job pool the writer is using.
 template <typename Match, typename Range, typename Probe>
 std::vector<Match> ParallelScanRanges(ThreadPool* pool,
                                       const std::vector<Range>& ranges,

@@ -15,7 +15,8 @@ namespace temporadb {
 ///
 /// Keys are ordered by `Value`'s total order; duplicates are supported (a
 /// key holds a postings vector).  Used for equality/range predicates on
-/// explicit attributes; the temporal dimensions use `IntervalIndex`.
+/// explicit attributes; the temporal dimensions have no index (scans
+/// answer them from the version store's chronon columns).
 class BTreeIndex {
  public:
   using RowId = uint64_t;

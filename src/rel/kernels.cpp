@@ -93,17 +93,6 @@ size_t SelectLive(const uint8_t* live, size_t n, uint32_t* sel_out) {
   return count;
 }
 
-size_t SelectLiveRefine(const uint8_t* live, const uint32_t* sel_in,
-                        size_t n_in, uint32_t* sel_out) {
-  size_t count = 0;
-  for (size_t k = 0; k < n_in; ++k) {
-    const uint32_t i = sel_in[k];
-    sel_out[count] = i;
-    count += static_cast<unsigned>(live[i] != 0);
-  }
-  return count;
-}
-
 size_t IntersectPeriods(const int64_t* begin, const int64_t* end,
                         const uint32_t* sel_in, size_t n_in, int64_t o_begin,
                         int64_t o_end, uint32_t* sel_out, int64_t* out_begin,

@@ -71,11 +71,6 @@ size_t SelectEndEqualsRefine(const int64_t* end, const uint32_t* sel_in,
 /// morsel).  The dense seed of a kernel chain over stored versions.
 size_t SelectLive(const uint8_t* live, size_t n, uint32_t* sel_out);
 
-/// Refine: liveness over the `n_in` candidates in `sel_in` (index-probe
-/// candidates may reference tombstoned slots).
-size_t SelectLiveRefine(const uint8_t* live, const uint32_t* sel_in,
-                        size_t n_in, uint32_t* sel_out);
-
 /// Pairwise period intersection against a fixed outer period: for each
 /// candidate `i` (from `sel_in`, or the dense range `[0, n_in)` when
 /// `sel_in` is null), computes `[max(o_begin, begin[i]), min(o_end, end[i]))`

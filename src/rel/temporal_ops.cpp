@@ -8,14 +8,6 @@ namespace temporadb {
 
 namespace {
 
-Row RowFrom(const BitemporalTuple& t, bool with_valid, bool with_txn) {
-  Row row;
-  row.values = t.values;
-  if (with_valid) row.valid = t.valid;
-  if (with_txn) row.txn = t.txn;
-  return row;
-}
-
 // Row from position `i` of a scan batch: values are borrowed from the
 // stored tuple, periods are decoded from the batch's chronon columns (the
 // same reps the store's columns mirror, so identical to the tuple's).
@@ -33,21 +25,27 @@ Row RowFromBatch(const VersionBatch& batch, size_t i, bool with_valid,
   return row;
 }
 
+// Appends every version `scan` yields to `out`, in row order.
+Status AddScanned(VersionBatchScan scan, bool with_valid, bool with_txn,
+                  Rowset* out) {
+  VersionBatch batch;
+  while (scan.Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      TDB_RETURN_IF_ERROR(
+          out->AddRow(RowFromBatch(batch, i, with_valid, with_txn)));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<Rowset> ScanStored(const StoredRelation& rel) {
   TemporalClass cls = rel.temporal_class();
   Rowset out(rel.schema(), cls, rel.data_model());
-  const bool with_valid = SupportsValidTime(cls);
-  const bool with_txn = SupportsTransactionTime(cls);
-  VersionBatchScan scan = rel.store()->BatchScanAll();
-  VersionBatch batch;
-  while (scan.Next(&batch)) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      TDB_RETURN_IF_ERROR(
-          out.AddRow(RowFromBatch(batch, i, with_valid, with_txn)));
-    }
-  }
+  TDB_RETURN_IF_ERROR(AddScanned(rel.store()->BatchScan(),
+                                 SupportsValidTime(cls),
+                                 SupportsTransactionTime(cls), &out));
   return out;
 }
 
@@ -66,11 +64,8 @@ Result<Rowset> Rollback(const StoredRelation& rel, Chronon t) {
                               ? TemporalClass::kStatic
                               : TemporalClass::kHistorical;
   Rowset out(rel.schema(), derived, rel.data_model());
-  const bool with_valid = SupportsValidTime(derived);
-  for (RowId row : rel.store()->TxnAsOf(t)) {
-    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* tuple, rel.store()->Get(row));
-    TDB_RETURN_IF_ERROR(out.AddRow(RowFrom(*tuple, with_valid, false)));
-  }
+  TDB_RETURN_IF_ERROR(AddScanned(rel.BatchScan({.asof = Period::At(t)}),
+                                 SupportsValidTime(derived), false, &out));
   return out;
 }
 
@@ -83,11 +78,8 @@ Result<Rowset> RollbackKeepTxn(const StoredRelation& rel, Chronon t) {
         std::string(TemporalClassName(cls)).c_str()));
   }
   Rowset out(rel.schema(), cls, rel.data_model());
-  const bool with_valid = SupportsValidTime(cls);
-  for (RowId row : rel.store()->TxnAsOf(t)) {
-    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* tuple, rel.store()->Get(row));
-    TDB_RETURN_IF_ERROR(out.AddRow(RowFrom(*tuple, with_valid, true)));
-  }
+  TDB_RETURN_IF_ERROR(AddScanned(rel.BatchScan({.asof = Period::At(t)}),
+                                 SupportsValidTime(cls), true, &out));
   return out;
 }
 
@@ -136,14 +128,7 @@ Result<Rowset> CurrentState(const StoredRelation& rel) {
   Rowset out(rel.schema(), derived, rel.data_model());
   // An empty spec resolves to the current stored state for kinds with
   // transaction time and a full sweep otherwise, in row order either way.
-  VersionBatchScan scan = rel.BatchScan({});
-  VersionBatch batch;
-  while (scan.Next(&batch)) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      TDB_RETURN_IF_ERROR(
-          out.AddRow(RowFromBatch(batch, i, with_valid, false)));
-    }
-  }
+  TDB_RETURN_IF_ERROR(AddScanned(rel.BatchScan({}), with_valid, false, &out));
   return out;
 }
 

@@ -15,18 +15,6 @@ Status HistoricalRelation::Append(Transaction* txn, std::vector<Value> values,
   return Status::OK();
 }
 
-VersionBatchScan HistoricalRelation::BatchScan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) {
-    BatchPredicates preds;
-    preds.valid_overlaps = spec.valid_during;
-    return store_.BatchScanSnapshot(*spec.snapshot, std::move(preds));
-  }
-  if (spec.valid_during.has_value() && store_.options().time_pushdown) {
-    return store_.BatchScanValidDuring(*spec.valid_during);
-  }
-  return store_.BatchScanAll();
-}
-
 Result<size_t> HistoricalRelation::DeleteRows(
     Transaction* txn, const std::vector<RowId>& targets,
     std::optional<Period> period) {

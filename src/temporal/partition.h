@@ -113,11 +113,13 @@ struct PartitionSynopsis {
 ///
 /// Accounting identity (per predicated sequential/snapshot scan):
 ///   considered == pruned_tt + pruned_vt + pruned_snapshot + scanned.
-/// Unpredicated scans (ScanAll) skip the synopsis walk entirely and leave
-/// the counters untouched.  `rows_scanned` counts rows in surviving sealed
-/// partitions plus the hot tail; `batch_morsels_formed` counts the
-/// batch-aligned chunks a batch scan actually formed — a pruned partition
-/// contributes zero (pruning happens before morsel geometry exists).
+/// Scans that skip the synopsis walk (no predicate, pruning off, or nothing
+/// sealed) leave the partition counters untouched.  `rows_scanned` counts
+/// every row a scan probes — rows in surviving sealed partitions plus the
+/// hot tail, or the whole domain when the walk was skipped.
+/// `batch_morsels_formed` counts the batch-aligned chunks a batch scan
+/// actually formed — a pruned partition contributes zero (pruning happens
+/// before morsel geometry exists).
 struct ScanStats {
   std::atomic<uint64_t> partitions_considered{0};
   std::atomic<uint64_t> partitions_pruned_tt{0};

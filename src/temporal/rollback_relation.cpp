@@ -15,44 +15,6 @@ Status RollbackRelation::Append(Transaction* txn, std::vector<Value> values,
   return Status::OK();
 }
 
-namespace {
-
-// Snapshot-mode residual predicates: same semantics as the index arms
-// below (the indexes only prune), with no valid-time dimension.
-BatchPredicates SnapshotPreds(const ScanSpec& spec) {
-  BatchPredicates preds;
-  if (spec.asof.has_value()) {
-    const Period w = *spec.asof;
-    if (w.IsInstant()) {
-      preds.txn_contains = w.begin();
-    } else {
-      preds.txn_overlaps = w;
-    }
-  } else {
-    preds.txn_current = true;
-  }
-  return preds;
-}
-
-}  // namespace
-
-VersionBatchScan RollbackRelation::BatchScan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) {
-    return store_.BatchScanSnapshot(*spec.snapshot, SnapshotPreds(spec));
-  }
-  if (spec.asof.has_value()) {
-    const Period w = *spec.asof;
-    if (store_.options().time_pushdown) {
-      if (w.IsInstant()) return store_.BatchScanAsOf(w.begin());
-      return store_.BatchScanTxnOverlapping(w);
-    }
-    BatchPredicates preds;
-    preds.txn_overlaps = w;
-    return store_.BatchScanAll(std::move(preds));
-  }
-  return store_.BatchScanCurrent();
-}
-
 Result<size_t> RollbackRelation::DeleteRows(Transaction* txn,
                                             const std::vector<RowId>& targets,
                                             std::optional<Period> period) {

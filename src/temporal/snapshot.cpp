@@ -5,13 +5,26 @@
 
 namespace temporadb {
 
+namespace {
+
+// Calls `fn` on every live version matching `preds`, in row order.
+template <typename Fn>
+void ForEachMatch(const VersionStore& store, BatchPredicates preds, Fn fn) {
+  VersionBatchScan scan = store.BatchScan(preds);
+  VersionBatch batch;
+  while (scan.Next(&batch)) {
+    for (const BitemporalTuple* t : batch.tuples) fn(*t);
+  }
+}
+
+}  // namespace
+
 StaticState RollbackSlice(const VersionStore& store, Chronon t) {
   StaticState state;
   state.at = t;
-  for (RowId row : store.TxnAsOf(t)) {
-    Result<const BitemporalTuple*> tuple = store.Get(row);
-    if (tuple.ok()) state.rows.push_back((*tuple)->values);
-  }
+  ForEachMatch(store, {.txn_contains = t}, [&](const BitemporalTuple& tuple) {
+    state.rows.push_back(tuple.values);
+  });
   std::sort(state.rows.begin(), state.rows.end());
   return state;
 }
@@ -19,14 +32,12 @@ StaticState RollbackSlice(const VersionStore& store, Chronon t) {
 StaticState ValidTimeslice(const VersionStore& store, Chronon v) {
   StaticState state;
   state.at = v;
-  for (RowId row : store.ValidOverlapping(Period::At(v))) {
-    Result<const BitemporalTuple*> tuple = store.Get(row);
-    if (!tuple.ok()) continue;
-    // Only the current stored state participates; superseded versions of a
-    // temporal relation belong to past states.
-    if (!(*tuple)->IsCurrentState()) continue;
-    state.rows.push_back((*tuple)->values);
-  }
+  // Only the current stored state participates; superseded versions of a
+  // temporal relation belong to past states.
+  ForEachMatch(store, {.valid_overlaps = Period::At(v), .txn_current = true},
+               [&](const BitemporalTuple& tuple) {
+                 state.rows.push_back(tuple.values);
+               });
   std::sort(state.rows.begin(), state.rows.end());
   return state;
 }
@@ -34,10 +45,9 @@ StaticState ValidTimeslice(const VersionStore& store, Chronon v) {
 HistoricalState HistoricalStateAsOf(const VersionStore& store, Chronon t) {
   HistoricalState state;
   state.at = t;
-  for (RowId row : store.TxnAsOf(t)) {
-    Result<const BitemporalTuple*> tuple = store.Get(row);
-    if (tuple.ok()) state.rows.push_back(**tuple);
-  }
+  ForEachMatch(store, {.txn_contains = t}, [&](const BitemporalTuple& tuple) {
+    state.rows.push_back(tuple);
+  });
   std::sort(state.rows.begin(), state.rows.end(),
             [](const BitemporalTuple& a, const BitemporalTuple& b) {
               if (a.values != b.values) return a.values < b.values;

@@ -16,14 +16,6 @@ Status StaticRelation::Append(Transaction* txn, std::vector<Value> values,
   return Status::OK();
 }
 
-VersionBatchScan StaticRelation::BatchScan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) {
-    return store_.BatchScanSnapshot(*spec.snapshot, BatchPredicates{});
-  }
-  (void)spec;  // Both periods are degenerate; no window can prune anything.
-  return store_.BatchScanAll();
-}
-
 Result<size_t> StaticRelation::DeleteRows(Transaction* txn,
                                           const std::vector<RowId>& targets,
                                           std::optional<Period> period) {

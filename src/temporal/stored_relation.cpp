@@ -102,35 +102,68 @@ Result<std::vector<RowId>> StoredRelation::SelectTargets(
   // Select every target before the caller mutates anything: the kinds'
   // DML appends and closes rows, which would disturb a live traversal,
   // and the predicate must see the pre-statement state.
-  std::vector<RowId> candidates;
-  if (const std::pair<size_t, Value>* probe =
-          FirstIndexedProbe(store_, probes)) {
-    TDB_ASSIGN_OR_RETURN(candidates,
-                         store_.LookupAttribute(probe->first, probe->second));
-    std::sort(candidates.begin(), candidates.end());
-  } else if (current_only) {
-    candidates = store_.CurrentRows();  // Already in row order.
-  } else if (overlapping.has_value()) {
-    candidates = store_.ValidOverlapping(*overlapping);
-    std::sort(candidates.begin(), candidates.end());
-  } else {
-    store_.ForEach([&](RowId row, const BitemporalTuple&) {
-      candidates.push_back(row);
-    });
-  }
   std::vector<RowId> targets;
-  for (RowId row : candidates) {
-    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
+  const auto visit = [&](RowId row, const BitemporalTuple& t) {
     // Scope first, then `when`, the period and the predicate: the order
     // the enumerating path has always evaluated them in, so a failing
     // `when` or predicate fails on the same rows.
     const bool overlaps =
-        !overlapping.has_value() || t->valid.Overlaps(*overlapping);
-    if (current_only ? !t->IsCurrentState() : !overlaps) continue;
-    if (when != nullptr && !when(t->valid)) continue;
-    if (overlaps && pred(t->values)) targets.push_back(row);
+        !overlapping.has_value() || t.valid.Overlaps(*overlapping);
+    if (current_only ? !t.IsCurrentState() : !overlaps) return;
+    if (when != nullptr && !when(t.valid)) return;
+    if (overlaps && pred(t.values)) targets.push_back(row);
+  };
+  if (const std::pair<size_t, Value>* probe =
+          FirstIndexedProbe(store_, probes)) {
+    TDB_ASSIGN_OR_RETURN(std::vector<RowId> candidates,
+                         store_.LookupAttribute(probe->first, probe->second));
+    std::sort(candidates.begin(), candidates.end());
+    for (RowId row : candidates) {
+      TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
+      visit(row, *t);
+    }
+    return targets;
+  }
+  // The kind's scope as scan predicates: the current state for kinds with
+  // transaction time, the versions overlapping `overlapping` otherwise.
+  BatchPredicates scope;
+  if (current_only) {
+    scope.txn_current = true;
+  } else {
+    scope.valid_overlaps = overlapping;
+  }
+  VersionBatchScan scan = store_.BatchScan(scope);
+  VersionBatch batch;
+  while (scan.Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      visit(batch.rows[i], *batch.tuples[i]);
+    }
   }
   return targets;
+}
+
+BatchPredicates StoredRelation::TimePredicates(const ScanSpec& spec) const {
+  BatchPredicates preds;
+  if (SupportsTransactionTime(info_.temporal_class)) {
+    if (!spec.asof.has_value()) {
+      preds.txn_current = true;
+    } else if (spec.asof->IsInstant()) {
+      preds.txn_contains = spec.asof->begin();
+    } else {
+      preds.txn_overlaps = spec.asof;
+    }
+  }
+  if (SupportsValidTime(info_.temporal_class)) {
+    preds.valid_overlaps = spec.valid_during;
+  }
+  return preds;
+}
+
+VersionBatchScan StoredRelation::BatchScan(const ScanSpec& spec) const {
+  if (spec.snapshot.has_value()) {
+    return store_.BatchScanSnapshot(*spec.snapshot, TimePredicates(spec));
+  }
+  return store_.BatchScan(TimePredicates(spec));
 }
 
 Status StoredRelation::CreateIndex(std::string_view attribute) {

@@ -55,15 +55,14 @@ UpdateAction ConstUpdate(size_t index, Value v);
 /// valid period overlaps `valid_during`.
 struct ScanSpec {
   /// Transaction-time window of an `as of [... through ...]` clause.
-  std::optional<Period> asof;
+  std::optional<Period> asof = std::nullopt;
   /// Valid-time window implied by a `when` / `valid` predicate.
-  std::optional<Period> valid_during;
+  std::optional<Period> valid_during = std::nullopt;
   /// When set, the scan runs in snapshot-isolated mode against this pin
   /// (see `Database::BeginReadSnapshot`): it is safe on a non-writer thread
   /// during concurrent commits, sees only rows/closes published at or
-  /// before the pin, never touches the store's mutable indexes, and is
-  /// exempt from the mutation-epoch staleness check.
-  std::optional<SnapshotPin> snapshot;
+  /// before the pin, and is exempt from the mutation-epoch staleness check.
+  std::optional<SnapshotPin> snapshot = std::nullopt;
 };
 
 /// Applies an update spec to a copy of `values`.
@@ -133,24 +132,13 @@ class StoredRelation {
   Result<size_t> CorrectErase(Transaction* txn, const TuplePredicate& pred,
                               const AttributeProbes& probes = {});
 
-  /// Index-aware scan entry point.  Each kind resolves `spec` against the
-  /// time dimensions it maintains and the store's index configuration,
-  /// picking the narrowest access path:
-  ///
-  /// | kind       | `asof`                  | `valid_during`                |
-  /// |------------|-------------------------|-------------------------------|
-  /// | static     | ignored (no time)       | ignored (no time)             |
-  /// | rollback   | snapshot-index probe    | ignored (no valid time)       |
-  /// | historical | ignored (no txn time)   | interval-index probe          |
-  /// | temporal   | snapshot-index probe    | interval index / residual     |
-  ///
-  /// Without `asof`, kinds with transaction time scan only the current
-  /// stored state.  With `store()->options().time_pushdown == false`, every
-  /// window degrades to a sequential sweep whose residual time predicates
-  /// run as kernels (the ablation baseline).  The scan yields columnar
+  /// The scan entry point of all four kinds: `spec`'s windows become
+  /// `BatchPredicates` (`TimePredicates`), which the store's partition
+  /// synopses and kernels evaluate — on the writer thread, or against
+  /// `spec.snapshot`'s pin when one is set.  The scan yields columnar
   /// `VersionBatch`es of at most `store()->options().batch_rows` rows, in
-  /// ascending row id regardless of path.
-  virtual VersionBatchScan BatchScan(const ScanSpec& spec) const = 0;
+  /// ascending row id.
+  VersionBatchScan BatchScan(const ScanSpec& spec) const;
 
   /// Creates a secondary index on the named attribute (used by the query
   /// evaluator for equality predicates).
@@ -189,6 +177,21 @@ class StoredRelation {
   VersionStore store_;
 
  private:
+  /// The one spec→predicates translation, keyed on the time dimensions the
+  /// kind maintains:
+  ///
+  /// | kind       | `asof`                          | `valid_during`   |
+  /// |------------|---------------------------------|------------------|
+  /// | static     | ignored                         | ignored          |
+  /// | rollback   | `txn_contains` / `txn_overlaps` | ignored          |
+  /// | historical | ignored                         | `valid_overlaps` |
+  /// | temporal   | `txn_contains` / `txn_overlaps` | `valid_overlaps` |
+  ///
+  /// An instant `asof` window becomes `txn_contains`, a longer one
+  /// `txn_overlaps`; without `asof`, kinds with transaction time scan only
+  /// the current stored state (`txn_current`).
+  BatchPredicates TimePredicates(const ScanSpec& spec) const;
+
   /// The one DML target selection all kinds share.  Candidates come from
   /// the first probe whose attribute is indexed, else from the kind's scope
   /// — the current state for kinds with transaction time, the versions

@@ -17,62 +17,6 @@ Status TemporalRelation::Append(Transaction* txn, std::vector<Value> values,
 
 namespace {
 
-// Snapshot-mode scans bypass every index and epoch check: the pin bounds
-// the rows, and the residual predicates below reproduce the access-path
-// semantics of the index arms exactly (the indexes only prune, never
-// change the result).
-BatchPredicates SnapshotPreds(const ScanSpec& spec) {
-  BatchPredicates preds;
-  if (spec.asof.has_value()) {
-    const Period w = *spec.asof;
-    if (w.IsInstant()) {
-      preds.txn_contains = w.begin();
-    } else {
-      preds.txn_overlaps = w;
-    }
-  } else {
-    preds.txn_current = true;
-  }
-  preds.valid_overlaps = spec.valid_during;
-  return preds;
-}
-
-}  // namespace
-
-VersionBatchScan TemporalRelation::BatchScan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) {
-    return store_.BatchScanSnapshot(*spec.snapshot, SnapshotPreds(spec));
-  }
-  if (spec.asof.has_value()) {
-    const Period w = *spec.asof;
-    if (store_.options().time_pushdown) {
-      // When the query constrains both times, the interval index is the
-      // better access path: `when` windows are typically narrow, while in
-      // an append-heavy history almost every version is alive at any given
-      // as-of instant, so the snapshot index barely prunes.
-      if (spec.valid_during.has_value() && store_.options().index_valid_time) {
-        BatchPredicates preds;
-        preds.txn_overlaps = w;
-        return store_.BatchScanValidDuring(*spec.valid_during,
-                                           std::move(preds));
-      }
-      if (w.IsInstant()) return store_.BatchScanAsOf(w.begin());
-      return store_.BatchScanTxnOverlapping(w);
-    }
-    BatchPredicates preds;
-    preds.txn_overlaps = w;
-    return store_.BatchScanAll(std::move(preds));
-  }
-  if (spec.valid_during.has_value() && store_.options().time_pushdown) {
-    BatchPredicates preds;
-    preds.txn_current = true;
-    return store_.BatchScanValidDuring(*spec.valid_during, std::move(preds));
-  }
-  return store_.BatchScanCurrent();
-}
-
-namespace {
-
 // Supersedes `row`: closes its transaction period at `now` (only versions
 // in the *current* historical state are targets; closed versions belong to
 // past states and are immutable) and appends, entering the store now, the

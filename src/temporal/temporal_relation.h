@@ -30,14 +30,6 @@ class TemporalRelation : public StoredRelation {
   Status Append(Transaction* txn, std::vector<Value> values,
                 std::optional<Period> valid) override;
 
-  /// Both windows are honored.  With both set, the interval index picks the
-  /// candidates and the as-of window rides along as a residual; with
-  /// `asof` alone, the snapshot index picks them.  Without `asof`, the scan
-  /// covers the current historical state — via the interval index when
-  /// `valid_during` is present (plus a current-state residual), via the
-  /// current set otherwise.
-  VersionBatchScan BatchScan(const ScanSpec& spec) const override;
-
   Result<size_t> DeleteRows(Transaction* txn,
                             const std::vector<RowId>& targets,
                             std::optional<Period> period) override;

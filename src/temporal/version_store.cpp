@@ -30,70 +30,37 @@ bool NeverMatches(const BatchPredicates& p) {
 VersionBatchScan::VersionBatchScan(const VersionStore* store,
                                    BatchPredicates preds)
     : store_(store),
-      sequential_(true),
       preds_(preds),
       limit_(store->version_count()),
       epoch_(store->mutation_epoch()),
-      batch_rows_(store->options().batch_rows == 0 ? 1
-                                                   : store->options().batch_rows) {
-  assert(limit_ <= std::numeric_limits<uint32_t>::max() &&
-         "selection vectors index rows as uint32");
-  if (NeverMatches(preds_)) {
-    limit_ = 0;
-  } else {
-    ranges_ = store->PruneRanges(preds_, limit_, nullptr);
-    chunks_ = exec::RangeChunks(ranges_, batch_rows_);
-    if (ScanStats* stats = store->options().scan_stats) {
-      stats->batch_morsels_formed.fetch_add(chunks_.size(),
-                                            std::memory_order_relaxed);
-    }
-  }
-}
-
-VersionBatchScan::VersionBatchScan(const VersionStore* store,
-                                   std::vector<RowId> rows,
-                                   BatchPredicates preds)
-    : store_(store),
-      sequential_(false),
-      rows_(std::move(rows)),
-      preds_(preds),
-      limit_(store->version_count()),
-      epoch_(store->mutation_epoch()),
-      batch_rows_(store->options().batch_rows == 0 ? 1
-                                                   : store->options().batch_rows) {
-  assert(limit_ <= std::numeric_limits<uint32_t>::max() &&
-         "selection vectors index rows as uint32");
-  // Index probes return candidates in index order and may repeat a row
-  // (e.g. a txn-window query hitting both the closed and current sets);
-  // sort and dedupe so batches ascend like a sequential sweep.
-  std::sort(rows_.begin(), rows_.end());
-  rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
-  if (NeverMatches(preds_)) rows_.clear();
+      batch_rows_(std::max<size_t>(store->options().batch_rows, 1)) {
+  Plan();
 }
 
 VersionBatchScan::VersionBatchScan(const VersionStore* store, SnapshotPin pin,
                                    BatchPredicates preds)
     : store_(store),
-      sequential_(true),
       preds_(preds),
       limit_(pin.rows),
       epoch_(0),
       snapshot_(true),
       pin_(pin),
-      batch_rows_(store->options().batch_rows == 0
-                      ? 1
-                      : store->options().batch_rows) {
+      batch_rows_(std::max<size_t>(store->options().batch_rows, 1)) {
+  Plan();
+}
+
+void VersionBatchScan::Plan() {
   assert(limit_ <= std::numeric_limits<uint32_t>::max() &&
          "selection vectors index rows as uint32");
   if (NeverMatches(preds_)) {
     limit_ = 0;
-  } else {
-    ranges_ = store->PruneRanges(preds_, limit_, &pin_);
-    chunks_ = exec::RangeChunks(ranges_, batch_rows_);
-    if (ScanStats* stats = store->options().scan_stats) {
-      stats->batch_morsels_formed.fetch_add(chunks_.size(),
-                                            std::memory_order_relaxed);
-    }
+    return;
+  }
+  ranges_ = store_->PruneRanges(preds_, limit_, snapshot_ ? &pin_ : nullptr);
+  chunks_ = exec::RangeChunks(ranges_, batch_rows_);
+  if (ScanStats* stats = store_->options().scan_stats) {
+    stats->batch_morsels_formed.fetch_add(chunks_.size(),
+                                          std::memory_order_relaxed);
   }
 }
 
@@ -104,7 +71,8 @@ bool VersionBatchScan::ShouldRunParallel() const {
   if (snapshot_) return false;
   const VersionStoreOptions& o = store_->options();
   if (!o.parallel_scan || o.exec_pool == nullptr) return false;
-  const size_t domain = sequential_ ? limit_ : rows_.size();
+  size_t domain = 0;  // Rows left to probe once pruning has run.
+  for (const RowRange& r : ranges_) domain += r.size();
   return domain >= o.parallel_min_rows;
 }
 
@@ -120,8 +88,6 @@ void VersionBatchScan::ProbeRangeSnapshot(size_t begin, size_t end,
   //    ids, because the scratch only spans `[begin, end)`;
   //  - the gather bypasses `Get()` (which reads writer-side size state)
   //    via `TuplePinned`.
-  // Snapshot domains are always sequential, so `[begin, end)` is a
-  // contiguous row range.
   const size_t n = end - begin;
   if (n == 0) return;
   const int64_t* vf = store_->chronon_valid_from() + begin;
@@ -174,6 +140,7 @@ void VersionBatchScan::ProbeRangeSnapshot(size_t begin, size_t end,
     std::swap(cur, nxt);
   }
 
+  out->Reserve(out->size() + cnt);
   for (size_t k = 0; k < cnt; ++k) {
     const size_t rel = cur[k];
     const RowId row = begin + rel;
@@ -201,8 +168,7 @@ void VersionBatchScan::ProbeRange(size_t begin, size_t end,
   const uint8_t* live = store_->chronon_live();
 
   // Ping-pong selection vectors: each kernel pass refines `cur` into `nxt`.
-  // Small probes (index-nested-loop joins pull a handful of candidates per
-  // outer tuple) stay on the stack; only real batches pay an allocation.
+  // Small ranges stay on the stack; only real batches pay an allocation.
   constexpr size_t kStackSel = 64;
   uint32_t stack_a[kStackSel];
   uint32_t stack_b[kStackSel];
@@ -216,21 +182,10 @@ void VersionBatchScan::ProbeRange(size_t begin, size_t end,
     cur = sel_a.data();
     nxt = sel_b.data();
   }
-  size_t cnt;
-  if (sequential_) {
-    // Dense seed over the contiguous row range, rebased to absolute ids so
-    // the refine passes index the full columns.
-    cnt = kernels::SelectLive(live + begin, n, cur);
-    for (size_t k = 0; k < cnt; ++k) cur[k] += static_cast<uint32_t>(begin);
-  } else {
-    // Index candidates are scattered row ids; mask stale (tombstoned)
-    // entries first.
-    for (size_t k = 0; k < n; ++k) {
-      cur[k] = static_cast<uint32_t>(rows_[begin + k]);
-    }
-    cnt = kernels::SelectLiveRefine(live, cur, n, nxt);
-    std::swap(cur, nxt);
-  }
+  // Dense seed over the contiguous row range, rebased to absolute ids so
+  // the refine passes index the full columns.
+  size_t cnt = kernels::SelectLive(live + begin, n, cur);
+  for (size_t k = 0; k < cnt; ++k) cur[k] += static_cast<uint32_t>(begin);
 
   if (preds_.txn_contains.has_value()) {
     cnt = kernels::SelectContainsRefine(ts, te, cur, cnt,
@@ -258,6 +213,7 @@ void VersionBatchScan::ProbeRange(size_t begin, size_t end,
 
   // Gather the survivors: borrowed tuple pointers plus copies of their
   // chronon entries, so downstream kernels keep running over flat arrays.
+  out->Reserve(out->size() + cnt);
   for (size_t k = 0; k < cnt; ++k) {
     const RowId row = cur[k];
     Result<const BitemporalTuple*> t = store_->Get(row);
@@ -272,37 +228,20 @@ void VersionBatchScan::ProbeRange(size_t begin, size_t end,
 }
 
 void VersionBatchScan::MaterializeParallel() {
+  // One morsel per pre-chunked range slice and one batch per morsel: the
+  // chunk grid is `chunks_`, exactly what the streaming pull walks, so batch
+  // boundaries are invariant across thread counts and identical to the
+  // unpartitioned store whenever nothing pruned.
   exec::MorselOptions morsels;
   morsels.morsel_rows = batch_rows_;
-  if (sequential_) {
-    // One morsel per pre-chunked range slice and one batch per morsel: the
-    // chunk grid is `chunks_`, exactly what the streaming pull walks, so
-    // batch boundaries are invariant across thread counts and identical to
-    // the unpartitioned store whenever nothing pruned.
-    batches_ = exec::ParallelScanRanges<VersionBatch>(
-        store_->options().exec_pool, ranges_,
-        [this](size_t begin, size_t end, std::vector<VersionBatch>* out) {
-          VersionBatch batch;
-          ProbeRange(begin, end, &batch);
-          out->push_back(std::move(batch));
-        },
-        morsels);
-  } else {
-    batches_ = exec::ParallelScan<VersionBatch>(
-        store_->options().exec_pool, rows_.size(),
-        [this](size_t begin, size_t end, std::vector<VersionBatch>* out) {
-          // One batch per batch_rows-aligned chunk.  Morsel boundaries are
-          // multiples of batch_rows, so the sequential fallback (one probe
-          // over the whole domain) slices identically — batch boundaries,
-          // not just row order, are thread-count-invariant.
-          for (size_t b = begin; b < end; b += batch_rows_) {
-            VersionBatch batch;
-            ProbeRange(b, std::min(end, b + batch_rows_), &batch);
-            out->push_back(std::move(batch));
-          }
-        },
-        morsels);
-  }
+  batches_ = exec::ParallelScanRanges<VersionBatch>(
+      store_->options().exec_pool, ranges_,
+      [this](size_t begin, size_t end, std::vector<VersionBatch>* out) {
+        VersionBatch batch;
+        ProbeRange(begin, end, &batch);
+        out->push_back(std::move(batch));
+      },
+      morsels);
   buffered_ = true;
   batch_pos_ = 0;
 }
@@ -311,9 +250,9 @@ bool VersionBatchScan::Next(VersionBatch* out) {
   if (!snapshot_) {
     TDB_INVARIANT_CHECK(
         epoch_ == store_->mutation_epoch(),
-        "VersionBatchScan advanced after a store mutation; index candidates "
-        "and the row watermark are stale (open a fresh scan, or use a read "
-        "snapshot for scans that must survive commits)");
+        "VersionBatchScan advanced after a store mutation; the row "
+        "watermark and pruned ranges are stale (open a fresh scan, or use a "
+        "read snapshot for scans that must survive commits)");
   }
   if (!decided_) {
     decided_ = true;
@@ -328,57 +267,16 @@ bool VersionBatchScan::Next(VersionBatch* out) {
     }
     return false;
   }
-  if (sequential_) {
-    while (chunk_idx_ < chunks_.size()) {
-      const RowRange c = chunks_[chunk_idx_++];
-      out->Clear();
-      ProbeRange(c.begin, c.end, out);
-      if (!out->empty()) return true;
-    }
-    return false;
-  }
-  const size_t domain = rows_.size();
-  while (pos_ < domain) {
-    const size_t begin = pos_;
-    const size_t end = std::min(domain, begin + batch_rows_);
-    pos_ = end;
+  while (chunk_idx_ < chunks_.size()) {
+    const RowRange c = chunks_[chunk_idx_++];
     out->Clear();
-    ProbeRange(begin, end, out);
+    ProbeRange(c.begin, c.end, out);
     if (!out->empty()) return true;
   }
   return false;
 }
 
 VersionStore::VersionStore(VersionStoreOptions options) : options_(options) {}
-
-// The secondary-index mutators below return Status for API generality, but
-// every call in this file maintains an index entry for a slot this store
-// just validated (fresh row id, live version, period shape checked by the
-// caller), so failure would mean the store's own invariants are broken —
-// the drops are deliberate and each carries its reason.
-
-void VersionStore::IndexInsert(RowId row, const BitemporalTuple& t) {
-  if (options_.index_txn_time) {
-    if (t.IsCurrentState()) {
-      // Fresh row id: cannot already be in the current set.
-      (void)txn_index_.AddCurrent(row, t.txn.begin());
-    } else {
-      // Closed period of a validated tuple: shape errors are impossible.
-      (void)txn_index_.AddClosed(row, t.txn);
-    }
-  }
-  if (options_.index_valid_time && !t.valid.IsEmpty()) {
-    // Non-empty period guaranteed by the guard above.
-    (void)valid_index_.Insert(t.valid, row);
-  }
-}
-
-void VersionStore::IndexEraseValid(RowId row, const BitemporalTuple& t) {
-  if (options_.index_valid_time && !t.valid.IsEmpty()) {
-    // The entry was inserted by IndexInsert with this exact period.
-    (void)valid_index_.Remove(t.valid, row);
-  }
-}
 
 void VersionStore::AttrIndexInsert(RowId row, const BitemporalTuple& t) {
   for (auto& [attr, index] : attr_indexes_) {
@@ -404,7 +302,6 @@ void VersionStore::SyncChrononColumns(RowId row) {
 
 RowId VersionStore::RawAppend(BitemporalTuple tuple) {
   RowId row = versions_.size();
-  IndexInsert(row, tuple);
   AttrIndexInsert(row, tuple);
   versions_.push_back(Slot{std::move(tuple), false});
   col_valid_from_.push_back(0);
@@ -442,14 +339,7 @@ void VersionStore::RawUnappend(RowId row) {
   }
   Slot& slot = versions_[row];
   if (!slot.tombstone) {
-    IndexEraseValid(row, slot.tuple);
     AttrIndexErase(row, slot.tuple);
-    if (options_.index_txn_time && slot.tuple.IsCurrentState()) {
-      // Remove from the current set by "closing at start" (zero-length
-      // periods are dropped, not indexed).  The row is current by the
-      // IsCurrentState() guard, so the close cannot miss.
-      (void)txn_index_.CloseCurrent(row, slot.tuple.txn.begin());
-    }
     --live_count_;
   }
   versions_.pop_back();
@@ -474,9 +364,6 @@ Status VersionStore::RawCloseTxn(RowId row, Chronon tt_end) {
   if (tt_end < t.txn.begin()) {
     return Status::InvalidArgument(
         "transaction end precedes transaction start");
-  }
-  if (options_.index_txn_time) {
-    TDB_RETURN_IF_ERROR(txn_index_.CloseCurrent(row, tt_end));
   }
   t.txn = Period(t.txn.begin(), tt_end);
   // The close is the one in-place mutation snapshot readers must see — or
@@ -506,12 +393,7 @@ Status VersionStore::RawCloseTxn(RowId row, Chronon tt_end) {
 void VersionStore::RawReopenTxn(RowId row, Chronon old_end) {
   assert(old_end.IsForever());
   Slot& slot = versions_[row];
-  Chronon start = slot.tuple.txn.begin();
-  if (options_.index_txn_time) {
-    // Undo of a close this transaction performed; the closed entry exists.
-    (void)txn_index_.ReopenAsCurrent(row, start, slot.tuple.txn.end());
-  }
-  slot.tuple.txn = Period(start, old_end);
+  slot.tuple.txn = Period(slot.tuple.txn.begin(), old_end);
   // Abort-time undo of a close.  Restore ∞ atomically (a snapshot reader
   // may be loading this entry right now); the stale close stamp is left in
   // place deliberately — with tt_end = ∞ the row reads as current no
@@ -526,12 +408,7 @@ Status VersionStore::RawPhysicalDelete(RowId row) {
     return Status::NotFound("no such version");
   }
   Slot& slot = versions_[row];
-  IndexEraseValid(row, slot.tuple);
   AttrIndexErase(row, slot.tuple);
-  if (options_.index_txn_time && slot.tuple.IsCurrentState()) {
-    // Current by the guard; close-at-start drops the index entry.
-    (void)txn_index_.CloseCurrent(row, slot.tuple.txn.begin());
-  }
   slot.tombstone = true;
   col_live_[row] = 0;
   --live_count_;
@@ -546,7 +423,6 @@ void VersionStore::RawUndelete(RowId row, BitemporalTuple tuple) {
   slot.tuple = std::move(tuple);
   slot.tombstone = false;
   SyncChrononColumns(row);
-  IndexInsert(row, slot.tuple);
   AttrIndexInsert(row, slot.tuple);
   ++live_count_;
   RepatchSealedSynopsis(row);
@@ -558,15 +434,9 @@ Status VersionStore::RawPhysicalUpdate(RowId row, BitemporalTuple tuple) {
     return Status::NotFound("no such version");
   }
   Slot& slot = versions_[row];
-  IndexEraseValid(row, slot.tuple);
   AttrIndexErase(row, slot.tuple);
-  if (options_.index_txn_time && slot.tuple.IsCurrentState()) {
-    // Current by the guard; close-at-start drops the index entry.
-    (void)txn_index_.CloseCurrent(row, slot.tuple.txn.begin());
-  }
   slot.tuple = std::move(tuple);
   SyncChrononColumns(row);
-  IndexInsert(row, slot.tuple);
   AttrIndexInsert(row, slot.tuple);
   RepatchSealedSynopsis(row);
   ++mutation_epoch_;
@@ -669,93 +539,8 @@ void VersionStore::ForEach(
   }
 }
 
-std::vector<RowId> VersionStore::TxnAsOf(Chronon t) const {
-  std::vector<RowId> out;
-  if (options_.index_txn_time) {
-    txn_index_.AsOf(t, [&](RowId row) { out.push_back(row); });
-  } else {
-    ForEach([&](RowId row, const BitemporalTuple& tuple) {
-      if (tuple.txn.Contains(t)) out.push_back(row);
-    });
-  }
-  return out;
-}
-
-std::vector<RowId> VersionStore::CurrentRows() const {
-  std::vector<RowId> out;
-  if (options_.index_txn_time) {
-    txn_index_.Current([&](RowId row) { out.push_back(row); });
-  } else {
-    ForEach([&](RowId row, const BitemporalTuple& tuple) {
-      if (tuple.IsCurrentState()) out.push_back(row);
-    });
-  }
-  return out;
-}
-
-std::vector<RowId> VersionStore::ValidOverlapping(Period q) const {
-  std::vector<RowId> out;
-  if (options_.index_valid_time) {
-    valid_index_.Overlapping(q, [&](Period, RowId row) { out.push_back(row); });
-  } else {
-    ForEach([&](RowId row, const BitemporalTuple& tuple) {
-      if (tuple.valid.Overlaps(q)) out.push_back(row);
-    });
-  }
-  return out;
-}
-
-// With the relevant index on, an index probe yields the candidate rows
-// (probes are exact, no residual window check); without it, the window
-// becomes a structured BatchPredicates entry evaluated by the columnar
-// kernels, whose semantics match Period bit-for-bit — both paths visit the
-// same rows in the same order.
-
-VersionBatchScan VersionStore::BatchScanAll(BatchPredicates residual) const {
-  return VersionBatchScan(this, std::move(residual));
-}
-
-VersionBatchScan VersionStore::BatchScanCurrent(BatchPredicates residual) const {
-  if (options_.index_txn_time) {
-    std::vector<RowId> rows;
-    txn_index_.Current([&](RowId row) { rows.push_back(row); });
-    return VersionBatchScan(this, std::move(rows), std::move(residual));
-  }
-  residual.txn_current = true;
-  return VersionBatchScan(this, std::move(residual));
-}
-
-VersionBatchScan VersionStore::BatchScanAsOf(Chronon t,
-                                             BatchPredicates residual) const {
-  if (options_.index_txn_time) {
-    std::vector<RowId> rows;
-    txn_index_.AsOf(t, [&](RowId row) { rows.push_back(row); });
-    return VersionBatchScan(this, std::move(rows), std::move(residual));
-  }
-  residual.txn_contains = t;
-  return VersionBatchScan(this, std::move(residual));
-}
-
-VersionBatchScan VersionStore::BatchScanTxnOverlapping(
-    Period q, BatchPredicates residual) const {
-  if (options_.index_txn_time) {
-    std::vector<RowId> rows;
-    txn_index_.Overlapping(q, [&](RowId row) { rows.push_back(row); });
-    return VersionBatchScan(this, std::move(rows), std::move(residual));
-  }
-  residual.txn_overlaps = q;
-  return VersionBatchScan(this, std::move(residual));
-}
-
-VersionBatchScan VersionStore::BatchScanValidDuring(
-    Period q, BatchPredicates residual) const {
-  if (options_.index_valid_time) {
-    std::vector<RowId> rows;
-    valid_index_.Overlapping(q, [&](Period, RowId row) { rows.push_back(row); });
-    return VersionBatchScan(this, std::move(rows), std::move(residual));
-  }
-  residual.valid_overlaps = q;
-  return VersionBatchScan(this, std::move(residual));
+VersionBatchScan VersionStore::BatchScan(BatchPredicates preds) const {
+  return VersionBatchScan(this, std::move(preds));
 }
 
 Status VersionStore::ApplyReplay(const VersionOp& op) {
@@ -842,12 +627,9 @@ size_t VersionStore::CompactTombstones() {
   sealed_.Truncate(0);
   sealed_rows_ = 0;
   // Row ids changed: rebuild every index from scratch.
-  txn_index_.Clear();
-  valid_index_.Clear();
   for (auto& [attr, index] : attr_indexes_) index->Clear();
   for (RowId row = 0; row < versions_.size(); ++row) {
     SyncChrononColumns(row);
-    IndexInsert(row, versions_[row].tuple);
     AttrIndexInsert(row, versions_[row].tuple);
   }
   // The published watermark now exceeds the row count; re-publish so later
@@ -885,11 +667,12 @@ Result<std::vector<RowId>> VersionStore::LookupAttribute(
 }
 
 size_t VersionStore::current_count() const {
-  if (options_.index_txn_time) return txn_index_.current_count();
+  const int64_t* te = col_tt_end_.data();
+  const uint8_t* live = col_live_.data();
   size_t n = 0;
-  ForEach([&](RowId, const BitemporalTuple& t) {
-    if (t.IsCurrentState()) ++n;
-  });
+  for (size_t row = 0; row < versions_.size(); ++row) {
+    n += static_cast<size_t>(live[row] != 0 && te[row] == Chronon::kForeverRep);
+  }
   return n;
 }
 
@@ -1078,6 +861,10 @@ std::vector<RowRange> VersionStore::PruneRanges(const BatchPredicates& preds,
       pin == nullptr ? sealed_.size()
                      : sealed_count_.load(std::memory_order_acquire);
   if (!options_.partition_pruning || !predicated || sealed_count == 0) {
+    // No synopsis walk: nothing is considered or pruned, every row scanned.
+    if (ScanStats* stats = options_.scan_stats) {
+      stats->rows_scanned.fetch_add(limit, std::memory_order_relaxed);
+    }
     out.push_back(RowRange{0, limit});
     return out;
   }

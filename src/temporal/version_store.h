@@ -1,6 +1,7 @@
 #ifndef TEMPORADB_TEMPORAL_VERSION_STORE_H_
 #define TEMPORADB_TEMPORAL_VERSION_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -10,8 +11,6 @@
 
 #include "common/result.h"
 #include "index/btree.h"
-#include "index/interval_index.h"
-#include "index/snapshot_index.h"
 #include "temporal/bitemporal_tuple.h"
 #include "temporal/mvcc.h"
 #include "temporal/partition.h"
@@ -29,11 +28,11 @@ using RowId = uint64_t;
 class VersionStore;
 
 /// Structured predicates of a batch scan, evaluated with the branch-free
-/// kernels (rel/kernels.h) over the store's contiguous chronon columns.
-/// The entry points merge their own window into this struct when the
-/// backing index is disabled, degrading to a kernel-filtered sweep.
-/// Snapshot scans take *all* their predicates this way: they may never read
-/// `BitemporalTuple::txn`, which the writer closes in place.
+/// kernels (rel/kernels.h) over the store's contiguous chronon columns,
+/// after the partition synopses have pruned what they can (`PruneRanges`).
+/// Every scan, writer or snapshot, takes its time windows this way; a
+/// snapshot scan in particular may never read `BitemporalTuple::txn`, which
+/// the writer closes in place.
 struct BatchPredicates {
   /// `t.valid.Overlaps(w)` (timeslice / `when` windows).
   std::optional<Period> valid_overlaps = std::nullopt;
@@ -63,6 +62,18 @@ struct VersionBatch {
 
   size_t size() const { return rows.size(); }
   bool empty() const { return rows.empty(); }
+  /// Room for `n` rows in every column, growing geometrically so a batch
+  /// reused across scans reallocates only O(log n) times.
+  void Reserve(size_t n) {
+    if (n <= rows.capacity()) return;
+    n = std::max(n, 2 * rows.capacity());
+    rows.reserve(n);
+    tuples.reserve(n);
+    valid_from.reserve(n);
+    valid_to.reserve(n);
+    tt_start.reserve(n);
+    tt_end.reserve(n);
+  }
   void Clear() {
     rows.clear();
     tuples.clear();
@@ -74,23 +85,20 @@ struct VersionBatch {
 };
 
 /// A pull-based scan over the live versions of a `VersionStore`, yielding
-/// `VersionBatch`es of at most `batch_rows` rows, always in ascending row
-/// order — whether the candidates came from an index or from a sequential
-/// sweep, the caller observes the same sequence.  Candidates are probed a
+/// `VersionBatch`es of at most `batch_rows` rows in ascending row order.
+/// The partition synopses first drop the sealed partitions the predicates
+/// cannot match (`PruneRanges`); the surviving row ranges are then probed a
 /// batch at a time with selection-vector kernels over the store's chronon
-/// columns.  Obtained from the `BatchScan*` entry points on `VersionStore`
-/// (or from a relation's `BatchScan`).
+/// columns.  Obtained from `VersionStore::BatchScan` /
+/// `BatchScanSnapshot` (or from a relation's `BatchScan`).
 ///
 /// ### Lifetime and concurrency contract
 ///
-/// **Writer-thread scans** (every constructor but the snapshot one) capture
-/// the store's mutation epoch and a row watermark (the version count) at
-/// open and only ever touch slots below that watermark.  Any index probe
-/// backing the scan ran at open, on the opening (coordinator) thread —
-/// workers of a parallel scan never read the shared index structures.
-/// Advancing such a scan after the store was mutated is a lifetime bug:
-/// index candidates, the watermark, and uncommitted in-place closes go
-/// stale.  `Next` enforces this with an always-on runtime check
+/// **Writer-thread scans** capture the store's mutation epoch and a row
+/// watermark (the version count) at open and only ever touch slots below
+/// that watermark.  Advancing such a scan after the store was mutated is a
+/// lifetime bug: the watermark, the pruned ranges and uncommitted in-place
+/// closes go stale.  `Next` enforces this with an always-on runtime check
 /// (`TDB_INVARIANT_CHECK`, never a compiled-out assert) — like iterator
 /// invalidation on a `std::vector`, except it cannot go undetected in
 /// release builds.
@@ -98,27 +106,22 @@ struct VersionBatch {
 /// **Snapshot scans** (the `SnapshotPin` constructor) are built for
 /// mutation under them: they run on reader threads concurrently with the
 /// writer, bound by the pin's committed-row watermark and commit sequence
-/// instead of the mutation epoch (see mvcc.h).  They never touch the index
-/// structures, always run sequentially on the calling thread (the thread
-/// pool belongs to the writer), and read transaction ends through the
-/// close-sequence patch, so post-pin closes read back as ∞.  Yielded tuples
+/// instead of the mutation epoch (see mvcc.h).  They always run
+/// sequentially on the calling thread (the thread pool belongs to the
+/// writer), and read transaction ends through the close-sequence patch, so
+/// post-pin closes read back as ∞.  Yielded tuples
 /// have stable `values` and `valid`, but their `txn` member may be
 /// mid-close — take transaction periods from the batch's columns instead.
 ///
-/// When the store enables `parallel_scan` and the candidate domain reaches
-/// `parallel_min_rows`, the first pull materializes every batch with a
+/// When the store enables `parallel_scan` and the rows left after pruning
+/// reach `parallel_min_rows`, the first pull materializes every batch with a
 /// morsel-parallel probe: one morsel per batch-sized range, merged in morsel
 /// order (bit-identical sequence AND identical batch boundaries for every
 /// thread count, because morsel geometry is aligned to `batch_rows`).
 class VersionBatchScan {
  public:
-  /// Sequential sweep over `[0, version_count)`.
+  /// Writer-thread sweep over `[0, version_count)`.
   VersionBatchScan(const VersionStore* store, BatchPredicates preds);
-
-  /// Scan over index-selected candidates; sorted and deduped so the yield
-  /// order matches a sequential sweep.
-  VersionBatchScan(const VersionStore* store, std::vector<RowId> rows,
-                   BatchPredicates preds);
 
   /// Snapshot-isolated batch sweep bound to `pin`: sequential over
   /// `[0, pin.rows)`, kernels run over pin-patched transaction-end values,
@@ -134,6 +137,9 @@ class VersionBatchScan {
   bool Next(VersionBatch* out);
 
  private:
+  /// Prunes the domain `[0, limit_)` to its surviving ranges and chunks
+  /// them (both constructors end here).
+  void Plan();
   bool ShouldRunParallel() const;
   void MaterializeParallel();
   /// Probes candidate positions `[begin, end)` of the domain, appending the
@@ -145,22 +151,19 @@ class VersionBatchScan {
   void ProbeRangeSnapshot(size_t begin, size_t end, VersionBatch* out) const;
 
   const VersionStore* store_;
-  bool sequential_;
-  std::vector<RowId> rows_;  // Index mode only.
   BatchPredicates preds_;
   size_t limit_;    // Watermark: slots at or above it are invisible.
   uint64_t epoch_;  // Store mutation epoch at open (checked at every Next).
   bool snapshot_ = false;  // Pin-bound mode: epoch check off, patched reads.
   SnapshotPin pin_;
   size_t batch_rows_;
-  // Sequential/snapshot mode: surviving ranges after partition pruning and
-  // their batch_rows-aligned chunk grid.  One chunk = one batch = one
-  // morsel, so pruned partitions never form a batch or a morsel and the
-  // geometry is identical between streaming and parallel materialization.
+  // Surviving ranges after partition pruning and their batch_rows-aligned
+  // chunk grid.  One chunk = one batch = one morsel, so pruned partitions
+  // never form a batch or a morsel and the geometry is identical between
+  // streaming and parallel materialization.
   std::vector<RowRange> ranges_;
   std::vector<RowRange> chunks_;
-  size_t chunk_idx_ = 0;   // Next chunk (streaming sequential/snapshot).
-  size_t pos_ = 0;         // Next domain position (streaming index mode).
+  size_t chunk_idx_ = 0;   // Next chunk (streaming pulls).
   bool decided_ = false;   // Parallel-vs-stream decision made at first Next.
   bool buffered_ = false;  // Batches pre-materialized into batches_.
   std::vector<VersionBatch> batches_;
@@ -181,27 +184,24 @@ struct VersionOp {
   Chronon tt_end;              // kCloseTxn payload.
 };
 
-/// Index configuration, exposed so the ablation benches can toggle access
+/// Store configuration, exposed so the ablation benches can toggle access
 /// paths.
 struct VersionStoreOptions {
-  bool index_valid_time = true;  ///< Interval index over valid periods.
-  bool index_txn_time = true;    ///< Snapshot index over transaction periods.
-  /// Allow the query layer to push `as of` / `when` time predicates down
-  /// into the index-aware scan entry points.  Off: every relation scan
-  /// degrades to a full sweep plus kernel predicates (the ablation
-  /// baseline).
+  /// Allow the query layer to push a `when` clause's valid-time window down
+  /// into relation scans.  Off: the window is checked per candidate tuple
+  /// after the scan (the A4 cube and A5 ablation baselines).
   bool time_pushdown = true;
   /// Morsel-parallel scans: when set (and `exec_pool` is provided), a scan
-  /// whose candidate domain has at least `parallel_min_rows` rows runs its
+  /// left with at least `parallel_min_rows` rows after pruning runs its
   /// kernel predicates on the pool's workers and merges matches
   /// back in ascending row order (bit-identical to the sequential scan).
   bool parallel_scan = false;
   /// The worker pool for parallel scans; non-owning, must outlive every
   /// store built with these options.  Null disables parallelism.
   exec::ThreadPool* exec_pool = nullptr;
-  /// Scans over fewer candidate rows than this stay sequential — morsel
-  /// scheduling costs more than it buys on small domains (and the dynamic
-  /// probe side of a when-join is usually such a small domain).
+  /// Scans left with fewer rows than this after partition pruning stay
+  /// sequential — morsel scheduling costs more than it buys on small
+  /// domains.
   size_t parallel_min_rows = 4096;
   /// Rows per scan batch (also the morsel size of a parallel scan, keeping
   /// batch boundaries thread-count-invariant).
@@ -281,47 +281,25 @@ class VersionStore {
   /// Iterates live versions in row order.
   void ForEach(const std::function<void(RowId, const BitemporalTuple&)>& fn) const;
 
-  /// Rows whose transaction period contains `t` (the rollback access path);
-  /// falls back to a scan when the snapshot index is disabled.
-  std::vector<RowId> TxnAsOf(Chronon t) const;
-
-  /// Rows in the current stored state (transaction end = ∞).
-  std::vector<RowId> CurrentRows() const;
-
-  /// Rows whose valid period overlaps `q`; falls back to a scan when the
-  /// interval index is disabled.
-  std::vector<RowId> ValidOverlapping(Period q) const;
-
   // --- Scan entry points --------------------------------------------------
   //
-  // Each resolves the best access path for its time predicate (snapshot
-  // index for transaction time, interval index for valid time, a
-  // kernel-filtered sequential sweep when the index is disabled) and yields
-  // matching live versions in row order, sliced into `VersionBatch`es.
-  // `residual` adds structured predicates evaluated by the kernels (e.g. a
-  // valid-window scan plus a current-state check) without a second pass.
+  // Both take every time window as a structured `BatchPredicates` entry:
+  // the partition synopses prune what they can, the kernels evaluate the
+  // rest over the surviving ranges, and matching live versions come back in
+  // row order, sliced into `VersionBatch`es.  The relation layer translates
+  // its as-of / when windows into predicates (`StoredRelation::BatchScan`).
 
-  VersionBatchScan BatchScanAll(BatchPredicates residual = {}) const;
-  VersionBatchScan BatchScanCurrent(BatchPredicates residual = {}) const;
-  VersionBatchScan BatchScanAsOf(Chronon t,
-                                 BatchPredicates residual = {}) const;
-  VersionBatchScan BatchScanTxnOverlapping(Period q,
-                                           BatchPredicates residual = {}) const;
-  VersionBatchScan BatchScanValidDuring(Period q,
-                                        BatchPredicates residual = {}) const;
+  /// Writer-thread scan (epoch-checked; see VersionBatchScan).
+  VersionBatchScan BatchScan(BatchPredicates preds = {}) const;
 
-  // --- Snapshot scan entry points ------------------------------------------
-  //
-  // Reader-thread entry points for snapshot-isolated reads (mvcc.h): bound
-  // by the pin's committed-row watermark and commit sequence, never by the
-  // mutation epoch, and never touching the (writer-mutable) index
-  // structures.  All predicates arrive structured — the relation layer
-  // translates its as-of / when windows into BatchPredicates, and the
-  // kernels evaluate them over pin-patched transaction ends.
+  /// Reader-thread scan for snapshot-isolated reads (mvcc.h): bound by the
+  /// pin's committed-row watermark and commit sequence, never by the
+  /// mutation epoch; the kernels evaluate the predicates over pin-patched
+  /// transaction ends.
 
-  /// Snapshot sweep; the batch's `tt_end` column carries the pin-effective
-  /// values.  Yielded tuples have stable `values` and `valid`; do not read
-  /// their `txn` member (the writer may be closing it in place).
+  /// The batch's `tt_end` column carries the pin-effective values.  Yielded
+  /// tuples have stable `values` and `valid`; do not read their `txn`
+  /// member (the writer may be closing it in place).
   VersionBatchScan BatchScanSnapshot(SnapshotPin pin,
                                      BatchPredicates preds) const;
 
@@ -435,6 +413,8 @@ class VersionStore {
 
   size_t live_count() const { return live_count_; }
   size_t version_count() const { return versions_.size(); }
+  /// Live versions in the current stored state (transaction end = ∞): one
+  /// branch-free pass over the `tt_end` and liveness columns.
   size_t current_count() const;
 
   /// Monotone counter bumped by every slot mutation (append, close,
@@ -541,8 +521,6 @@ class VersionStore {
     bool tombstone = false;
   };
 
-  void IndexInsert(RowId row, const BitemporalTuple& t);
-  void IndexEraseValid(RowId row, const BitemporalTuple& t);
   void AttrIndexInsert(RowId row, const BitemporalTuple& t);
   void AttrIndexErase(RowId row, const BitemporalTuple& t);
 
@@ -615,8 +593,6 @@ class VersionStore {
   bool loading_ = false;  // BeginLoad/EndLoad bracket: suppress sealing.
   size_t live_count_ = 0;
   uint64_t mutation_epoch_ = 0;
-  SnapshotIndex txn_index_;
-  IntervalIndex valid_index_;
   std::map<size_t, std::unique_ptr<BTreeIndex>> attr_indexes_;
   std::function<void(const VersionOp&)> observer_;
 };

@@ -562,9 +562,10 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
     }
 
     Result<ExecResult> operator()(const CreateIndexStmt& s) {
-      TDB_ASSIGN_OR_RETURN(StoredRelation * rel,
-                           ctx.get_relation(s.relation));
-      TDB_RETURN_IF_ERROR(rel->CreateIndex(s.attribute));
+      if (ctx.create_index == nullptr) {
+        return Status::NotSupported("DDL is not available in this context");
+      }
+      TDB_RETURN_IF_ERROR(ctx.create_index(s.relation, s.attribute));
       ExecResult r;
       r.message = "indexed " + s.relation + "." + s.attribute;
       return r;

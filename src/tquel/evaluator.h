@@ -23,6 +23,8 @@ struct EvalContext {
   /// DDL hooks (the facade owns catalog and relation map).
   std::function<Status(const CreateStmt&)> create_relation;
   std::function<Status(std::string_view)> drop_relation;
+  /// `create index on relation (attribute)`.
+  std::function<Status(std::string_view, std::string_view)> create_index;
   /// The session's range-variable table (mutated by `range of`).
   std::map<std::string, std::string>* ranges = nullptr;
   /// Named results of `retrieve into`.

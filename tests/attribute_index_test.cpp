@@ -1,8 +1,13 @@
 // Secondary attribute indexes: version-store maintenance across the whole
-// mutation/undo/replay surface, the `create index` TQuel statement, and the
-// evaluator's equality fast path (which must be invisible semantically).
+// mutation/undo/replay surface, the `create index` TQuel statement, the
+// evaluator's equality fast path (which must be invisible semantically),
+// and the index declarations surviving a reopen through the checkpoint or
+// the WAL.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
 
 #include "core/database.h"
 #include "core/paper_scenario.h"
@@ -196,6 +201,135 @@ TEST_F(AttributeIndexQueryTest, NonEqualityPredicatesUnaffected) {
   EXPECT_EQ(db_->Query("retrieve (x.n) where x.n = 3 or x.n = 5")->size(),
             2u);
 }
+
+// --- Persistence ----------------------------------------------------------
+
+// A persistent database and an in-memory twin fed the same statements; the
+// persistent one is reopened (after a checkpoint, or from the WAL alone) and
+// must keep its indexes and answer retrieves and DML exactly like the twin.
+class AttributeIndexPersistenceTest : public ::testing::TestWithParam<bool> {
+ protected:
+  AttributeIndexPersistenceTest() {
+    dir_ = testing::TempDir() + "/tdb_attr_index_" +
+           std::to_string(::getpid()) + "_" + std::to_string(counter_++);
+    std::filesystem::remove_all(dir_);
+    EXPECT_TRUE(clock_.SetDate("01/01/80").ok());
+    twin_ = OpenDb("");
+    db_ = OpenDb(dir_);
+  }
+  ~AttributeIndexPersistenceTest() override {
+    db_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  std::unique_ptr<Database> OpenDb(const std::string& path) {
+    DatabaseOptions options;
+    options.path = path;
+    options.clock = &clock_;
+    Result<std::unique_ptr<Database>> db = Database::Open(options);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    return db.ok() ? std::move(*db) : nullptr;
+  }
+
+  // Runs `stmt` on both databases; both must agree on the outcome.
+  void Exec(const std::string& stmt) {
+    Result<tquel::ExecResult> a = db_->Execute(stmt);
+    Result<tquel::ExecResult> b = twin_->Execute(stmt);
+    ASSERT_TRUE(a.ok()) << stmt << ": " << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << stmt << ": " << b.status().ToString();
+    EXPECT_EQ(a->count, b->count) << stmt;
+    EXPECT_EQ(a->message, b->message) << stmt;
+  }
+
+  void ExpectSameAnswer(const std::string& query) {
+    Result<Rowset> a = db_->Query(query);
+    Result<Rowset> b = twin_->Query(query);
+    ASSERT_TRUE(a.ok()) << query << ": " << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << query << ": " << b.status().ToString();
+    EXPECT_EQ(a->Render(), b->Render()) << query;
+  }
+
+  static bool Indexed(Database* db, const char* relation, size_t attr) {
+    Result<StoredRelation*> rel = db->GetRelation(relation);
+    return rel.ok() && (*rel)->store()->HasAttributeIndex(attr);
+  }
+
+  static int counter_;
+  std::string dir_;
+  ManualClock clock_;
+  std::unique_ptr<Database> twin_;
+  std::unique_ptr<Database> db_;
+};
+
+int AttributeIndexPersistenceTest::counter_ = 0;
+
+TEST_P(AttributeIndexPersistenceTest, IndexesSurviveReopen) {
+  const bool checkpoint = GetParam();
+  Exec("create temporal relation t (emp = int, name = string, n = int)");
+  Exec("create historical relation h (emp = int, dept = string)");
+  Exec("create index on t (emp)");
+  Exec("create index on t (n)");
+  Exec("create index on h (emp)");
+  Exec("range of x is t");
+  Exec("range of y is h");
+  for (int i = 0; i < 30; ++i) {
+    if (i % 4 == 0) clock_.AdvanceDays(3);
+    const std::string emp = std::to_string(i % 7);
+    Exec("append to t (emp = " + emp + ", name = \"e" + std::to_string(i) +
+         "\", n = " + std::to_string(i) + ")");
+    Exec("append to h (emp = " + emp + ", dept = \"d" +
+         std::to_string(i % 3) + "\") valid from \"01/01/79\" to \"inf\"");
+  }
+  clock_.AdvanceDays(1);
+  Exec("replace x (name = \"moved\") where x.emp = 3");
+  Exec("delete y where y.emp = 4");
+  if (checkpoint) {
+    ASSERT_TRUE(db_->Checkpoint().ok());
+  }
+  // A statement after the checkpoint reaches the reopened database through
+  // WAL replay in both variants.
+  Exec("delete x where x.emp = 5");
+
+  db_.reset();
+  db_ = OpenDb(dir_);
+  ASSERT_NE(db_, nullptr);
+  ASSERT_TRUE(Indexed(db_.get(), "t", 0));
+  EXPECT_FALSE(Indexed(db_.get(), "t", 1));
+  EXPECT_TRUE(Indexed(db_.get(), "t", 2));
+  EXPECT_TRUE(Indexed(db_.get(), "h", 0));
+  EXPECT_EQ(db_->catalog().GetRelation("t")->indexed_attrs,
+            (std::vector<uint32_t>{0, 2}));
+  // The rebuilt B+-tree holds exactly the twin's postings.
+  const VersionStore* reopened = (*db_->GetRelation("t"))->store();
+  const VersionStore* twin = (*twin_->GetRelation("t"))->store();
+  for (int64_t emp = 0; emp < 8; ++emp) {
+    EXPECT_EQ(*reopened->LookupAttribute(0, Value(emp)),
+              *twin->LookupAttribute(0, Value(emp)))
+        << emp;
+  }
+  // A second declaration is still refused.
+  EXPECT_EQ(db_->Execute("create index on t (emp)").status().code(),
+            StatusCode::kAlreadyExists);
+
+  Exec("range of x is t");
+  Exec("range of y is h");
+  ExpectSameAnswer("retrieve (x.name, x.n) where x.emp = 3");
+  ExpectSameAnswer("retrieve (x.name) where x.emp = 3 as of \"01/05/80\"");
+  ExpectSameAnswer("retrieve (x.emp, x.name)");
+  ExpectSameAnswer("retrieve (y.dept) where y.emp = 2");
+  clock_.AdvanceDays(1);
+  Exec("replace x (n = 100) where x.emp = 2");
+  Exec("delete y where y.emp = 6");
+  Exec("replace y (dept = \"z\") where y.emp = 1");
+  ExpectSameAnswer("retrieve (x.name, x.n) where x.emp = 2");
+  ExpectSameAnswer("retrieve (y.emp, y.dept)");
+}
+
+INSTANTIATE_TEST_SUITE_P(CheckpointOrWal, AttributeIndexPersistenceTest,
+                         ::testing::Values(true, false),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Checkpoint" : "WalReplay";
+                         });
 
 }  // namespace
 }  // namespace temporadb

@@ -1,7 +1,7 @@
 // Executor differential against the brute-force reference evaluator
-// (tests/reference_eval.h): every scan entry point, with the time indexes
-// on and off, at batch sizes {1, 7, 1024} and thread counts {0, 1, 2, 4, 8},
-// must yield exactly the versions `ReferenceScan` selects; every TQuel
+// (tests/reference_eval.h): every scan predicate shape, at batch sizes
+// {1, 7, 1024} and thread counts {0, 1, 2, 4, 8}, must yield exactly the
+// versions `ReferenceScan` selects; every TQuel
 // clause combination over all four temporal classes must return exactly
 // the rows `ReferenceRetrieve` computes, in the same order; and pushing
 // time windows down (or not) must not change a query's answer.
@@ -30,7 +30,7 @@ using testutil::ReferenceRetrieve;
 using testutil::ReferenceScan;
 using testutil::SameRows;
 
-// --- Store level: BatchScan* against ReferenceScan ------------------------
+// --- Store level: BatchScan against ReferenceScan --------------------------
 
 // Seeded random bitemporal history: appends with half-open or bounded valid
 // periods, interleaved with transaction-time closes of random earlier rows
@@ -68,11 +68,10 @@ void PopulateStore(VersionStore* store, size_t n_ops, uint64_t seed) {
   }
 }
 
-// One scan shape: an entry point and the predicates that define its answer.
+// One scan shape: the predicates that define its answer.
 struct Probe {
   const char* name;
   BatchPredicates preds;
-  std::function<VersionBatchScan(const VersionStore&)> scan;
 };
 
 std::vector<Probe> Probes() {
@@ -81,80 +80,55 @@ std::vector<Probe> Probes() {
   const Period valid_window(Chronon(1000), Chronon(1060));
   const Period wide(Chronon(950), Chronon(1300));
   return {
-      {"all", {}, [](const VersionStore& s) { return s.BatchScanAll(); }},
-      {"current",
-       {.txn_current = true},
-       [](const VersionStore& s) { return s.BatchScanCurrent(); }},
-      {"as of",
-       {.txn_contains = at},
-       [at](const VersionStore& s) { return s.BatchScanAsOf(at); }},
-      {"txn overlapping",
-       {.txn_overlaps = txn_window},
-       [txn_window](const VersionStore& s) {
-         return s.BatchScanTxnOverlapping(txn_window);
-       }},
-      {"valid during",
-       {.valid_overlaps = valid_window},
-       [valid_window](const VersionStore& s) {
-         return s.BatchScanValidDuring(valid_window);
-       }},
-      {"valid during, current",
-       {.valid_overlaps = wide, .txn_current = true},
-       [wide](const VersionStore& s) {
-         return s.BatchScanValidDuring(wide, {.txn_current = true});
-       }},
+      {"all", {}},
+      {"current", {.txn_current = true}},
+      {"as of", {.txn_contains = at}},
+      {"txn overlapping", {.txn_overlaps = txn_window}},
+      {"valid during", {.valid_overlaps = valid_window}},
+      {"valid during, current", {.valid_overlaps = wide, .txn_current = true}},
       {"as of, valid residual",
-       {.valid_overlaps = valid_window, .txn_contains = at},
-       [at, valid_window](const VersionStore& s) {
-         return s.BatchScanAsOf(at, {.valid_overlaps = valid_window});
-       }},
+       {.valid_overlaps = valid_window, .txn_contains = at}},
   };
 }
 
-void ExpectMatchesReference(VersionBatchScan scan, const VersionStore& store,
+void ExpectMatchesReference(const VersionStore& store,
                             const BatchPredicates& preds,
                             const std::string& label) {
   std::string diff;
-  EXPECT_TRUE(SameRows(DrainScan(std::move(scan)), ReferenceScan(store, preds),
-                       &diff))
+  EXPECT_TRUE(SameRows(DrainScan(store.BatchScan(preds)),
+                       ReferenceScan(store, preds), &diff))
       << label << ": " << diff;
 }
 
-TEST(BatchScanReferenceTest, EveryEntryPointMatchesAcrossBatchSizesAndThreads) {
-  for (bool indexed : {true, false}) {
-    VersionStoreOptions options;
-    options.index_valid_time = indexed;
-    options.index_txn_time = indexed;
-    VersionStore store(options);
-    PopulateStore(&store, 5000, /*seed=*/11);
-    ASSERT_FALSE(HasFatalFailure());
-    ASSERT_GT(ReferenceScan(store, {.valid_overlaps = Period(
-                                        Chronon(1000), Chronon(1060))})
-                  .size(),
-              10u);
-    for (size_t batch_rows : {1u, 7u, 1024u}) {
-      store.ConfigureBatchRows(batch_rows);
-      // 0: no pool at all; otherwise min_rows=1 forces the morsel path even
-      // for tiny candidate sets.
-      for (size_t threads : {0u, 1u, 2u, 4u, 8u}) {
-        std::unique_ptr<exec::ThreadPool> pool;
-        if (threads > 0) pool = std::make_unique<exec::ThreadPool>(threads);
-        store.ConfigureParallel(pool.get(), 1);
-        for (const Probe& p : Probes()) {
-          const std::string label =
-              std::string(p.name) + (indexed ? ", indexed" : ", swept") +
-              ", batch_rows=" + std::to_string(batch_rows) +
-              ", threads=" + std::to_string(threads);
-          ExpectMatchesReference(p.scan(store), store, p.preds, label);
-          VersionBatchScan scan = p.scan(store);
-          VersionBatch batch;
-          while (scan.Next(&batch)) {
-            ASSERT_FALSE(batch.empty()) << label;
-            ASSERT_LE(batch.size(), batch_rows) << label;
-          }
+TEST(BatchScanReferenceTest, EveryPredicateMatchesAcrossBatchSizesAndThreads) {
+  VersionStore store;
+  PopulateStore(&store, 5000, /*seed=*/11);
+  ASSERT_FALSE(HasFatalFailure());
+  ASSERT_GT(ReferenceScan(store, {.valid_overlaps = Period(Chronon(1000),
+                                                           Chronon(1060))})
+                .size(),
+            10u);
+  for (size_t batch_rows : {1u, 7u, 1024u}) {
+    store.ConfigureBatchRows(batch_rows);
+    // 0: no pool at all; otherwise min_rows=1 forces the morsel path even
+    // for tiny candidate sets.
+    for (size_t threads : {0u, 1u, 2u, 4u, 8u}) {
+      std::unique_ptr<exec::ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<exec::ThreadPool>(threads);
+      store.ConfigureParallel(pool.get(), 1);
+      for (const Probe& p : Probes()) {
+        const std::string label = std::string(p.name) +
+                                  ", batch_rows=" + std::to_string(batch_rows) +
+                                  ", threads=" + std::to_string(threads);
+        ExpectMatchesReference(store, p.preds, label);
+        VersionBatchScan scan = store.BatchScan(p.preds);
+        VersionBatch batch;
+        while (scan.Next(&batch)) {
+          ASSERT_FALSE(batch.empty()) << label;
+          ASSERT_LE(batch.size(), batch_rows) << label;
         }
-        store.ConfigureParallel(nullptr);
       }
+      store.ConfigureParallel(nullptr);
     }
   }
 }
@@ -190,38 +164,31 @@ void GrowRandomHistory(Database* db, ManualClock* clock, StoredRelation* rel,
   }
 }
 
-TEST(PushdownEquivalence, IndexedScansMatchReferenceOnRandomHistories) {
+TEST(PushdownEquivalence, WindowScansMatchReferenceOnRandomHistories) {
   for (uint64_t seed : {1u, 7u, 42u}) {
-    for (bool indexed : {true, false}) {
-      ManualClock clock{Chronon(0)};
-      DatabaseOptions options;
-      options.clock = &clock;
-      options.store_options.index_valid_time = indexed;
-      options.store_options.index_txn_time = indexed;
-      std::unique_ptr<Database> db = std::move(*Database::Open(options));
-      ASSERT_TRUE(
-          db->Execute("create temporal relation h (name = string, n = int)")
-              .ok());
-      StoredRelation* rel = *db->GetRelation("h");
-      GrowRandomHistory(db.get(), &clock, rel, seed, 120);
-      const VersionStore& store = *rel->store();
-      Random rng(seed * 1000 + (indexed ? 1 : 0));
-      for (int trial = 0; trial < 25; ++trial) {
-        const Chronon t(rng.UniformRange(0, 500));
-        const int64_t qb = rng.UniformRange(0, 450);
-        const Period q(Chronon(qb), Chronon(qb + rng.UniformRange(1, 60)));
-        ExpectMatchesReference(store.BatchScanAsOf(t), store,
-                               {.txn_contains = t}, "as of " + t.ToString());
-        ExpectMatchesReference(store.BatchScanTxnOverlapping(q), store,
-                               {.txn_overlaps = q},
-                               "txn overlapping " + q.ToString());
-        ExpectMatchesReference(store.BatchScanValidDuring(q), store,
-                               {.valid_overlaps = q},
-                               "valid during " + q.ToString());
-      }
-      ExpectMatchesReference(store.BatchScanCurrent(), store,
-                             {.txn_current = true}, "current");
+    ManualClock clock{Chronon(0)};
+    DatabaseOptions options;
+    options.clock = &clock;
+    std::unique_ptr<Database> db = std::move(*Database::Open(options));
+    ASSERT_TRUE(
+        db->Execute("create temporal relation h (name = string, n = int)")
+            .ok());
+    StoredRelation* rel = *db->GetRelation("h");
+    GrowRandomHistory(db.get(), &clock, rel, seed, 120);
+    const VersionStore& store = *rel->store();
+    Random rng(seed * 1000);
+    for (int trial = 0; trial < 25; ++trial) {
+      const Chronon t(rng.UniformRange(0, 500));
+      const int64_t qb = rng.UniformRange(0, 450);
+      const Period q(Chronon(qb), Chronon(qb + rng.UniformRange(1, 60)));
+      ExpectMatchesReference(store, {.txn_contains = t},
+                             "as of " + t.ToString());
+      ExpectMatchesReference(store, {.txn_overlaps = q},
+                             "txn overlapping " + q.ToString());
+      ExpectMatchesReference(store, {.valid_overlaps = q},
+                             "valid during " + q.ToString());
     }
+    ExpectMatchesReference(store, {.txn_current = true}, "current");
   }
 }
 
@@ -411,13 +378,11 @@ TEST(BatchDatabaseTest, QueriesMatchReferenceAcrossBatchSizesAndThreads) {
 // rows, same order, same periods) and equal the reference.
 class QueryPair {
  public:
-  explicit QueryPair(bool with_indexes = true) {
+  QueryPair() {
     for (int i = 0; i < 2; ++i) {
       DatabaseOptions options;
       options.clock = &clock_;
       options.store_options.time_pushdown = (i == 0);
-      options.store_options.index_valid_time = with_indexes;
-      options.store_options.index_txn_time = with_indexes;
       db_[i] = std::move(*Database::Open(options));
     }
   }
@@ -488,29 +453,26 @@ TEST(PushdownEquivalence, TemporalQueriesMatchWithPushdownOff) {
 }
 
 TEST(PushdownEquivalence, HistoricalQueriesMatchWithPushdownOff) {
-  // The same when-queries against a historical relation, with and without
-  // interval indexes, to cover the fallback paths.
-  for (bool indexed : {true, false}) {
-    QueryPair pair(indexed);
-    ASSERT_TRUE(pair.clock_.SetDate("01/01/80").ok());
-    pair.Exec("create historical relation h (name = string)");
-    pair.Exec(
-        "append to h (name = \"a\") valid from \"01/01/79\" to \"01/01/81\"");
-    pair.Exec(
-        "append to h (name = \"b\") valid from \"06/01/80\" to \"06/01/83\"");
-    pair.Exec(
-        "append to h (name = \"c\") valid from \"01/01/84\" to \"01/01/85\"");
-    pair.Exec("range of x is h");
-    pair.Exec("range of y is h");
+  // The same when-queries against a historical relation.
+  QueryPair pair;
+  ASSERT_TRUE(pair.clock_.SetDate("01/01/80").ok());
+  pair.Exec("create historical relation h (name = string)");
+  pair.Exec(
+      "append to h (name = \"a\") valid from \"01/01/79\" to \"01/01/81\"");
+  pair.Exec(
+      "append to h (name = \"b\") valid from \"06/01/80\" to \"06/01/83\"");
+  pair.Exec(
+      "append to h (name = \"c\") valid from \"01/01/84\" to \"01/01/85\"");
+  pair.Exec("range of x is h");
+  pair.Exec("range of y is h");
 
-    pair.ExpectSameRows("retrieve (x.name)");
-    pair.ExpectSameRows("retrieve (x.name) when x overlap \"07/01/80\"");
-    pair.ExpectSameRows("retrieve (x.name) when x precede \"01/01/83\"");
-    pair.ExpectSameRows("retrieve (a = x.name, b = y.name) when x overlap y");
-    pair.ExpectSameRows(
-        "retrieve (a = x.name, b = y.name) when x precede y and y overlap "
-        "\"06/01/84\"");
-  }
+  pair.ExpectSameRows("retrieve (x.name)");
+  pair.ExpectSameRows("retrieve (x.name) when x overlap \"07/01/80\"");
+  pair.ExpectSameRows("retrieve (x.name) when x precede \"01/01/83\"");
+  pair.ExpectSameRows("retrieve (a = x.name, b = y.name) when x overlap y");
+  pair.ExpectSameRows(
+      "retrieve (a = x.name, b = y.name) when x precede y and y overlap "
+      "\"06/01/84\"");
 }
 
 TEST(PushdownEquivalence, RandomizedQueriesMatchWithPushdownOff) {

@@ -95,23 +95,33 @@ TEST(ThreadPoolTest, ConcurrentCallersSerializeCorrectly) {
 
 // --- Morsels --------------------------------------------------------------
 
-TEST(MorselTest, RangesPartitionTheDomain) {
-  for (size_t n : {0u, 1u, 2047u, 2048u, 2049u, 10000u}) {
-    size_t morsels = exec::MorselCount(n);
-    size_t expect_begin = 0;
-    for (size_t m = 0; m < morsels; ++m) {
-      auto [begin, end] = exec::MorselRange(m, n);
-      EXPECT_EQ(begin, expect_begin) << "n=" << n << " m=" << m;
-      EXPECT_GT(end, begin);
-      expect_begin = end;
+TEST(MorselTest, ChunksPartitionTheRanges) {
+  // Each range is cut into chunks of at most `chunk_rows`, restarting the
+  // grid at every range boundary; together the chunks cover the ranges
+  // exactly, in order.
+  const std::vector<RowRange> ranges = {{0, 1}, {3, 2051}, {4096, 4096 + 5000}};
+  for (size_t chunk_rows : {1u, 7u, 2048u, 10000u}) {
+    const std::vector<RowRange> chunks = exec::RangeChunks(ranges, chunk_rows);
+    size_t c = 0;
+    for (const RowRange& r : ranges) {
+      size_t expect_begin = r.begin;
+      while (expect_begin < r.end) {
+        ASSERT_LT(c, chunks.size()) << "chunk_rows=" << chunk_rows;
+        EXPECT_EQ(chunks[c].begin, expect_begin) << "chunk_rows=" << chunk_rows;
+        EXPECT_GT(chunks[c].end, chunks[c].begin);
+        EXPECT_LE(chunks[c].size(), chunk_rows);
+        expect_begin = chunks[c++].end;
+      }
+      EXPECT_EQ(expect_begin, r.end) << "chunk_rows=" << chunk_rows;
     }
-    EXPECT_EQ(expect_begin, n) << "n=" << n;
+    EXPECT_EQ(c, chunks.size()) << "chunk_rows=" << chunk_rows;
   }
+  EXPECT_TRUE(exec::RangeChunks(std::vector<RowRange>{}, 16).empty());
 }
 
-TEST(MorselTest, ParallelScanMatchesSequentialProbe) {
-  // The generic driver must produce the same sequence with and without a
-  // pool, for domains around the morsel-size boundaries.
+TEST(MorselTest, ParallelScanRangesMatchesSequentialProbe) {
+  // The scan must produce the same sequence with and without a pool, for
+  // domains around the morsel-size boundaries, split into several ranges.
   auto probe = [](size_t begin, size_t end, std::vector<size_t>* out) {
     for (size_t i = begin; i < end; ++i) {
       if (i % 3 == 0) out->push_back(i * 7);
@@ -119,9 +129,15 @@ TEST(MorselTest, ParallelScanMatchesSequentialProbe) {
   };
   exec::ThreadPool pool(4);
   for (size_t n : {0u, 1u, 2048u, 5000u, 9999u}) {
-    std::vector<size_t> seq = exec::ParallelScan<size_t>(nullptr, n, probe);
-    std::vector<size_t> par = exec::ParallelScan<size_t>(&pool, n, probe);
-    EXPECT_EQ(seq, par) << "n=" << n;
+    const std::vector<RowRange> ranges = {{0, n / 3}, {n / 2, n}};
+    std::vector<size_t> want;
+    for (const RowRange& r : ranges) probe(r.begin, r.end, &want);
+    std::vector<size_t> seq =
+        exec::ParallelScanRanges<size_t>(nullptr, ranges, probe);
+    std::vector<size_t> par =
+        exec::ParallelScanRanges<size_t>(&pool, ranges, probe);
+    EXPECT_EQ(seq, want) << "n=" << n;
+    EXPECT_EQ(par, want) << "n=" << n;
   }
 }
 
@@ -167,51 +183,39 @@ class ParallelBatchScanTest : public ::testing::Test {
     }
   }
 
-  // Runs every probe shape the figures exercise and returns their results
-  // concatenated, so one comparison covers sequential sweeps, snapshot- and
-  // interval-index-backed scans, and residual predicates.
-  testutil::ReferenceRows RunProbes() {
-    testutil::ReferenceRows all;
-    auto append = [&all](testutil::ReferenceRows v) {
-      all.insert(all.end(), v.begin(), v.end());
+  // Every probe shape the figures exercise: an unpredicated sweep, the
+  // current state, as-of instants and windows, valid windows, and a valid
+  // window with a current-state residual.
+  static std::vector<BatchPredicates> Shapes() {
+    return {
+        {},
+        {.txn_current = true},
+        {.txn_contains = Chronon(1100)},
+        {.txn_overlaps = Period(Chronon(1050), Chronon(1200))},
+        {.valid_overlaps = Period(Chronon(1000), Chronon(1060))},
+        {.valid_overlaps = Period(Chronon(950), Chronon(1300)),
+         .txn_current = true},
     };
-    append(testutil::DrainScan(store_.BatchScanAll()));
-    append(testutil::DrainScan(store_.BatchScanCurrent()));
-    append(testutil::DrainScan(store_.BatchScanAsOf(Chronon(1100))));
-    append(testutil::DrainScan(
-        store_.BatchScanTxnOverlapping(Period(Chronon(1050), Chronon(1200)))));
-    append(testutil::DrainScan(
-        store_.BatchScanValidDuring(Period(Chronon(1000), Chronon(1060)))));
-    BatchPredicates current;
-    current.txn_current = true;
-    append(testutil::DrainScan(store_.BatchScanValidDuring(
-        Period(Chronon(950), Chronon(1300)), current)));
+  }
+
+  // The scans' results for every shape, concatenated, so one comparison
+  // covers them all.
+  testutil::ReferenceRows RunProbes() const {
+    testutil::ReferenceRows all;
+    for (const BatchPredicates& p : Shapes()) {
+      testutil::ReferenceRows v = testutil::DrainScan(store_.BatchScan(p));
+      all.insert(all.end(), v.begin(), v.end());
+    }
     return all;
   }
 
   // The same probes, answered by the reference evaluator.
   testutil::ReferenceRows RunReferenceProbes() const {
     testutil::ReferenceRows all;
-    auto append = [&](const BatchPredicates& preds) {
-      testutil::ReferenceRows v = testutil::ReferenceScan(store_, preds);
+    for (const BatchPredicates& p : Shapes()) {
+      testutil::ReferenceRows v = testutil::ReferenceScan(store_, p);
       all.insert(all.end(), v.begin(), v.end());
-    };
-    BatchPredicates p;
-    append(p);
-    p.txn_current = true;
-    append(p);
-    p = BatchPredicates();
-    p.txn_contains = Chronon(1100);
-    append(p);
-    p = BatchPredicates();
-    p.txn_overlaps = Period(Chronon(1050), Chronon(1200));
-    append(p);
-    p = BatchPredicates();
-    p.valid_overlaps = Period(Chronon(1000), Chronon(1060));
-    append(p);
-    p.valid_overlaps = Period(Chronon(950), Chronon(1300));
-    p.txn_current = true;
-    append(p);
+    }
     return all;
   }
 
@@ -226,7 +230,7 @@ TEST_F(ParallelBatchScanTest, MatchesReferenceAcrossThreadCounts) {
   ASSERT_FALSE(want.empty());
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     exec::ThreadPool pool(threads);
-    // min_rows=1 forces the morsel path even for tiny index candidate sets.
+    // min_rows=1 forces the morsel path even for tiny domains.
     store_.ConfigureParallel(&pool, /*min_rows=*/1);
     std::string diff;
     EXPECT_TRUE(testutil::SameRows(RunProbes(), want, &diff))
@@ -253,7 +257,7 @@ TEST_F(ParallelBatchScanTest, SmallDomainsStaySequential) {
   exec::ThreadPool pool(4);
   store_.ConfigureParallel(&pool);  // Default threshold (4096) > 200 rows.
   std::string diff;
-  EXPECT_TRUE(testutil::SameRows(testutil::DrainScan(store_.BatchScanAll()),
+  EXPECT_TRUE(testutil::SameRows(testutil::DrainScan(store_.BatchScan()),
                                  testutil::ReferenceScan(store_, {}), &diff))
       << diff;
   store_.ConfigureParallel(nullptr);

@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -49,8 +48,6 @@ struct Harness {
   explicit Harness(size_t partition_rows, bool with_mvcc = false,
                    size_t batch_rows = 0) {
     VersionStoreOptions options;
-    options.index_valid_time = false;
-    options.index_txn_time = false;
     options.partition_rows = partition_rows;
     if (batch_rows > 0) options.batch_rows = batch_rows;
     if (with_mvcc) {
@@ -128,53 +125,30 @@ void Populate(Harness* h, size_t n_ops, uint64_t seed,
   }
 }
 
-// One probe: a scan entry point and the predicates that define its answer.
-// Windows are chosen to exercise both prune outcomes: some hit only early
-// history, some only late, some everything.
-struct Probe {
-  BatchPredicates preds;
-  std::function<VersionBatchScan(const VersionStore&)> scan;
-};
-
-std::vector<Probe> Probes() {
-  std::vector<Probe> probes;
-  probes.push_back({{}, [](const VersionStore& s) { return s.BatchScanAll(); }});
-  BatchPredicates current;
-  current.txn_current = true;
-  probes.push_back(
-      {current, [](const VersionStore& s) { return s.BatchScanCurrent(); }});
+// The probes: predicates whose windows exercise both prune outcomes — some
+// hit only early history, some only late, some everything.
+std::vector<BatchPredicates> Probes() {
+  std::vector<BatchPredicates> probes = {{}, {.txn_current = true}};
   for (int64_t t : {1005, 1100, 100000}) {
-    BatchPredicates asof;
-    asof.txn_contains = Chronon(t);
-    probes.push_back({asof, [t](const VersionStore& s) {
-                        return s.BatchScanAsOf(Chronon(t));
-                      }});
+    probes.push_back({.txn_contains = Chronon(t)});
   }
   for (Period w : {Period(Chronon(1050), Chronon(1200)),
                    Period(Chronon(0), Chronon(1002))}) {
-    BatchPredicates txn;
-    txn.txn_overlaps = w;
-    probes.push_back({txn, [w](const VersionStore& s) {
-                        return s.BatchScanTxnOverlapping(w);
-                      }});
+    probes.push_back({.txn_overlaps = w});
   }
   for (Period w : {Period(Chronon(1000), Chronon(1060)),
                    Period(Chronon(900), Chronon(905))}) {
-    BatchPredicates valid;
-    valid.valid_overlaps = w;
-    probes.push_back({valid, [w](const VersionStore& s) {
-                        return s.BatchScanValidDuring(w);
-                      }});
+    probes.push_back({.valid_overlaps = w});
   }
   return probes;
 }
 
 void ExpectProbesMatchReference(const VersionStore& store,
                                 const std::string& label) {
-  for (const Probe& p : Probes()) {
+  for (const BatchPredicates& p : Probes()) {
     std::string diff;
-    EXPECT_TRUE(SameRows(DrainScan(p.scan(store)),
-                         ReferenceScan(store, p.preds), &diff))
+    EXPECT_TRUE(SameRows(DrainScan(store.BatchScan(p)), ReferenceScan(store, p),
+                         &diff))
         << label << ": " << diff;
   }
 }
@@ -220,10 +194,10 @@ TEST(PartitionDifferentialTest, SnapshotPathMatchesReferenceAtThePin) {
     Populate(&h, 1500, /*seed=*/53, /*corrections=*/false);
     ASSERT_EQ(pin.rows, frozen_pin.rows);
     ASSERT_EQ(pin.seq, frozen_pin.seq);
-    for (const Probe& p : Probes()) {
+    for (const BatchPredicates& p : Probes()) {
       std::string diff;
-      EXPECT_TRUE(SameRows(DrainScan(h.store->BatchScanSnapshot(pin, p.preds)),
-                           ReferenceScan(*frozen.store, p.preds), &diff))
+      EXPECT_TRUE(SameRows(DrainScan(h.store->BatchScanSnapshot(pin, p)),
+                           ReferenceScan(*frozen.store, p), &diff))
           << "snapshot, partition_rows=" << partition_rows << ": " << diff;
     }
   }
@@ -458,8 +432,9 @@ TEST(PartitionStatsTest, AccountingIdentityAndMorselSuppression) {
   // [80, 155)) can intersect — epoch 0 tops out at 75, epoch 2 starts at
   // 160.  The matches are rows 10-11; the single surviving epoch is one
   // 8-row range = exactly 1 morsel, and the 7 pruned epochs form none.
-  testutil::ReferenceRows got = DrainScan(
-      h.store->BatchScanValidDuring(Period(Chronon(100), Chronon(120))));
+  const BatchPredicates window = {.valid_overlaps =
+                                      Period(Chronon(100), Chronon(120))};
+  testutil::ReferenceRows got = DrainScan(h.store->BatchScan(window));
   EXPECT_EQ(got.size(), 2u);
   EXPECT_EQ(stats.considered(), 8u);
   EXPECT_EQ(stats.pruned_vt(), 7u);
@@ -474,18 +449,19 @@ TEST(PartitionStatsTest, AccountingIdentityAndMorselSuppression) {
   stats.Reset();
   h.store->ConfigurePartitionPruning(false);
   std::string diff;
-  EXPECT_TRUE(SameRows(DrainScan(h.store->BatchScanValidDuring(
-                           Period(Chronon(100), Chronon(120)))),
-                       got, &diff))
+  EXPECT_TRUE(SameRows(DrainScan(h.store->BatchScan(window)), got, &diff))
       << "pruning toggle: " << diff;
   EXPECT_EQ(stats.considered(), 0u);  // Synopsis walk skipped entirely.
+  EXPECT_EQ(stats.considered(), stats.pruned_tt() + stats.pruned_vt() +
+                                    stats.pruned_snapshot() + stats.scanned());
+  EXPECT_EQ(stats.rows(), 64u);  // Every row is scanned, and reported.
   EXPECT_EQ(stats.morsels(), 8u);
   h.store->ConfigurePartitionPruning(true);
 
   // As-of below every tt_start: all 8 epochs prune on transaction time and
   // no morsel forms at all.
   stats.Reset();
-  got = DrainScan(h.store->BatchScanAsOf(Chronon(-5)));
+  got = DrainScan(h.store->BatchScan({.txn_contains = Chronon(-5)}));
   EXPECT_TRUE(got.empty());
   EXPECT_EQ(stats.pruned_tt(), 8u);
   EXPECT_EQ(stats.scanned(), 0u);
@@ -495,12 +471,49 @@ TEST(PartitionStatsTest, AccountingIdentityAndMorselSuppression) {
   // As-of after every close: the 4 fully-closed epochs prune (finite tt
   // upper bound), the 4 epochs holding current rows cannot.
   stats.Reset();
-  got = DrainScan(h.store->BatchScanAsOf(Chronon(500)));
+  got = DrainScan(h.store->BatchScan({.txn_contains = Chronon(500)}));
   EXPECT_EQ(got.size(), 32u);
   EXPECT_EQ(stats.pruned_tt(), 4u);
   EXPECT_EQ(stats.scanned(), 4u);
   EXPECT_EQ(stats.morsels(), 4u);
   h.store->set_scan_stats(nullptr);
+}
+
+TEST(PartitionStatsTest, WriterAsOfQueryPrunesAtDefaultOptions) {
+  // A rollback relation three default-size epochs deep, one transaction
+  // day per 512 rows; an `as of` query through the writer path, with every
+  // store option at its default, must take its window to the synopses.
+  ScanStats stats;
+  ManualClock clock{Chronon(1000)};
+  DatabaseOptions options;
+  options.clock = &clock;
+  options.store_options.scan_stats = &stats;
+  std::unique_ptr<Database> db = std::move(*Database::Open(options));
+  ASSERT_TRUE(db->Execute("create rollback relation r (n = int)").ok());
+  StoredRelation* rel = *db->GetRelation("r");
+  const size_t epoch = VersionStoreOptions().partition_rows;
+  for (size_t i = 0; i < 3 * epoch; i += 512) {
+    clock.AdvanceDays(1);
+    ASSERT_TRUE(db->WithTransaction([&](Transaction* txn) -> Status {
+                    for (size_t k = i; k < i + 512; ++k) {
+                      TDB_RETURN_IF_ERROR(rel->Append(
+                          txn, {Value(static_cast<int64_t>(k))}, std::nullopt));
+                    }
+                    return Status::OK();
+                  }).ok());
+  }
+  ASSERT_EQ(rel->store()->sealed_partition_count(), 3u);
+  ASSERT_TRUE(db->Execute("range of x is r").ok());
+  stats.Reset();
+  // Day 1002 holds rows 512-1023: every later epoch starts after it.
+  Result<Rowset> rows =
+      db->Query("retrieve (x.n) as of \"" + Chronon(1002).ToString() + "\"");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 1024u);
+  EXPECT_EQ(stats.considered(), 3u);
+  EXPECT_EQ(stats.pruned_tt(), 2u);
+  EXPECT_EQ(stats.scanned(), 1u);
+  EXPECT_EQ(stats.rows(), epoch);
 }
 
 TEST(PartitionStatsTest, SnapshotScansSkipPartitionsSealedAboveThePin) {
@@ -702,8 +715,6 @@ std::vector<std::string> FourClassQueries() {
 }
 
 TEST(PartitionDatabaseTest, FourClassesMatchReferenceAcrossPartitionSizes) {
-  // Time indexes off so the scans take the sequential-sweep path pruning
-  // applies to.
   const std::vector<std::string> queries = FourClassQueries();
   for (size_t partition_rows : {0u, 1u, 127u, 4096u}) {
     for (size_t threads : {1u, 4u}) {
@@ -713,8 +724,6 @@ TEST(PartitionDatabaseTest, FourClassesMatchReferenceAcrossPartitionSizes) {
       ManualClock clock;
       VersionStoreOptions options;
       options.partition_rows = partition_rows;
-      options.index_valid_time = false;
-      options.index_txn_time = false;
       if (threads > 1) {
         options.parallel_scan = true;
         options.parallel_min_rows = 1;

@@ -536,8 +536,9 @@ class HostileCheckpointTest : public PersistenceTest {
 
   std::string CheckpointPath() const { return dir_ + "/ckpt-1/checkpoint.tdb"; }
 
-  // Builds a small database of all four kinds, with tombstones, closed
-  // versions and sealed partitions, checkpoints it and keeps the image.
+  // Builds a small database of all four kinds, each with an attribute
+  // index, tombstones, closed versions and sealed partitions, checkpoints
+  // it and keeps the image.
   void SetUp() override {
     {
       Result<std::unique_ptr<Database>> db = Database::Open(Options());
@@ -548,6 +549,9 @@ class HostileCheckpointTest : public PersistenceTest {
                                    "relation " + name +
                                    " (name = string, n = int)")
                         .ok());
+        // Index declarations travel in the catalog record; mutations must
+        // reach them too.
+        ASSERT_TRUE((*db)->Execute("create index on " + name + " (n)").ok());
         ASSERT_TRUE((*db)->Execute("range of x is " + name).ok());
         for (int i = 0; i < 12; ++i) {
           if (i % 3 == 0) clock_.AdvanceDays(1);

@@ -223,5 +223,52 @@ TEST(Catalog, EncodeDecodeRoundTrip) {
   EXPECT_GT(fresh->id, promotion->id);
 }
 
+TEST(Catalog, IndexDeclarationsRoundTrip) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.CreateRelation("faculty", FacultySchema(),
+                                     TemporalClass::kTemporal,
+                                     TemporalDataModel::kInterval, true)
+                  .ok());
+  ASSERT_TRUE(catalog.AddIndex("faculty", 1).ok());
+  ASSERT_TRUE(catalog.AddIndex("faculty", 0).ok());
+  EXPECT_EQ(catalog.AddIndex("faculty", 1).code(), StatusCode::kAlreadyExists);
+  EXPECT_TRUE(catalog.AddIndex("faculty", 2).IsInvalidArgument());
+  EXPECT_TRUE(catalog.AddIndex("nope", 0).IsNotFound());
+  std::string buf;
+  catalog.EncodeTo(&buf);
+  std::string_view in = buf;
+  Result<Catalog> round = Catalog::DecodeFrom(&in);
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_EQ(round->GetRelation("faculty")->indexed_attrs,
+            (std::vector<uint32_t>{1, 0}));
+}
+
+TEST(Catalog, BadIndexDeclarationsAreCorruption) {
+  // A declaration at or beyond the arity, or naming an attribute twice, is
+  // damage, whatever the checksum said.
+  for (const std::vector<uint32_t>& attrs :
+       {std::vector<uint32_t>{2}, std::vector<uint32_t>{0, 0},
+        std::vector<uint32_t>{1, 0, 1}, std::vector<uint32_t>{0xFFFFFFFFu}}) {
+    RelationInfo info;
+    info.id = 1;
+    info.name = "faculty";
+    info.schema = FacultySchema();
+    info.indexed_attrs = attrs;
+    std::string buf;
+    EncodeRelationInfo(info, &buf);
+    std::string_view in = buf;
+    EXPECT_TRUE(DecodeRelationInfo(&in).status().IsCorruption())
+        << attrs.size() << " declarations";
+    // Every cut of a valid entry is Corruption too.
+    info.indexed_attrs = {1};
+    buf.clear();
+    EncodeRelationInfo(info, &buf);
+    for (size_t cut = 0; cut < buf.size(); ++cut) {
+      std::string_view part(buf.data(), cut);
+      EXPECT_TRUE(DecodeRelationInfo(&part).status().IsCorruption()) << cut;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace temporadb

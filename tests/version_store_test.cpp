@@ -8,6 +8,17 @@
 namespace temporadb {
 namespace {
 
+// The row ids a writer-thread scan under `preds` yields, in order.
+std::vector<RowId> ScanRows(const VersionStore& store, BatchPredicates preds) {
+  std::vector<RowId> rows;
+  VersionBatchScan scan = store.BatchScan(preds);
+  VersionBatch batch;
+  while (scan.Next(&batch)) {
+    rows.insert(rows.end(), batch.rows.begin(), batch.rows.end());
+  }
+  return rows;
+}
+
 BitemporalTuple Tuple(const char* name, int64_t txn_start) {
   BitemporalTuple t;
   t.values = {Value(name)};
@@ -72,7 +83,7 @@ TEST_F(VersionStoreTest, AbortUndoesAppend) {
   ASSERT_TRUE(manager_.Abort(txn).ok());
   EXPECT_EQ(store_.live_count(), 0u);
   EXPECT_EQ(store_.version_count(), 0u);
-  EXPECT_TRUE(store_.TxnAsOf(Chronon(10)).empty());
+  EXPECT_TRUE(ScanRows(store_, {.txn_contains = Chronon(10)}).empty());
   // A fresh append reuses row id 0.
   Transaction* t2 = BeginAt(20);
   EXPECT_EQ(*store_.Append(t2, Tuple("c", 20)), 0u);
@@ -88,7 +99,7 @@ TEST_F(VersionStoreTest, AbortUndoesCloseTxn) {
   ASSERT_TRUE(manager_.Abort(t2).ok());
   EXPECT_EQ(store_.current_count(), 1u);
   EXPECT_TRUE((*store_.Get(row))->IsCurrentState());
-  EXPECT_EQ(store_.TxnAsOf(Chronon(25)).size(), 1u);
+  EXPECT_EQ(ScanRows(store_, {.txn_contains = Chronon(25)}).size(), 1u);
 }
 
 TEST_F(VersionStoreTest, AbortUndoesPhysicalDeleteAndUpdate) {
@@ -122,50 +133,44 @@ TEST_F(VersionStoreTest, PhysicalDeleteTombstones) {
   ASSERT_TRUE(manager_.Commit(t2).ok());
 }
 
-TEST_F(VersionStoreTest, TxnAsOfWithAndWithoutIndex) {
-  for (bool indexed : {true, false}) {
-    VersionStoreOptions options;
-    options.index_txn_time = indexed;
-    VersionStore store(options);
-    Transaction* t1 = BeginAt(10);
-    RowId a = *store.Append(t1, Tuple("a", 10));
-    ASSERT_TRUE(manager_.Commit(t1).ok());
-    Transaction* t2 = BeginAt(20);
-    ASSERT_TRUE(store.CloseTxn(t2, a, Chronon(20)).ok());
-    ASSERT_TRUE(store.Append(t2, Tuple("b", 20)).ok());
-    ASSERT_TRUE(manager_.Commit(t2).ok());
+TEST_F(VersionStoreTest, TxnAsOfAndCurrentScans) {
+  Transaction* t1 = BeginAt(10);
+  RowId a = *store_.Append(t1, Tuple("a", 10));
+  ASSERT_TRUE(manager_.Commit(t1).ok());
+  Transaction* t2 = BeginAt(20);
+  ASSERT_TRUE(store_.CloseTxn(t2, a, Chronon(20)).ok());
+  ASSERT_TRUE(store_.Append(t2, Tuple("b", 20)).ok());
+  ASSERT_TRUE(manager_.Commit(t2).ok());
 
-    EXPECT_EQ(store.TxnAsOf(Chronon(15)), std::vector<RowId>{a}) << indexed;
-    EXPECT_EQ(store.TxnAsOf(Chronon(25)), std::vector<RowId>{1}) << indexed;
-    EXPECT_TRUE(store.TxnAsOf(Chronon(5)).empty()) << indexed;
-    EXPECT_EQ(store.CurrentRows(), std::vector<RowId>{1}) << indexed;
-  }
+  EXPECT_EQ(ScanRows(store_, {.txn_contains = Chronon(15)}),
+            std::vector<RowId>{a});
+  EXPECT_EQ(ScanRows(store_, {.txn_contains = Chronon(25)}),
+            std::vector<RowId>{1});
+  EXPECT_TRUE(ScanRows(store_, {.txn_contains = Chronon(5)}).empty());
+  EXPECT_EQ(ScanRows(store_, {.txn_current = true}), std::vector<RowId>{1});
+  EXPECT_EQ(store_.current_count(), 1u);
 }
 
-TEST_F(VersionStoreTest, ValidOverlappingWithAndWithoutIndex) {
-  for (bool indexed : {true, false}) {
-    VersionStoreOptions options;
-    options.index_valid_time = indexed;
-    VersionStore store(options);
-    Transaction* txn = BeginAt(10);
-    BitemporalTuple t = Tuple("a", 10);
-    t.valid = Period(Chronon(100), Chronon(200));
-    ASSERT_TRUE(store.Append(txn, t).ok());
-    BitemporalTuple u = Tuple("b", 10);
-    u.valid = Period(Chronon(300), Chronon(400));
-    ASSERT_TRUE(store.Append(txn, u).ok());
-    ASSERT_TRUE(manager_.Commit(txn).ok());
+TEST_F(VersionStoreTest, ValidOverlappingScans) {
+  Transaction* txn = BeginAt(10);
+  BitemporalTuple t = Tuple("a", 10);
+  t.valid = Period(Chronon(100), Chronon(200));
+  ASSERT_TRUE(store_.Append(txn, t).ok());
+  BitemporalTuple u = Tuple("b", 10);
+  u.valid = Period(Chronon(300), Chronon(400));
+  ASSERT_TRUE(store_.Append(txn, u).ok());
+  ASSERT_TRUE(manager_.Commit(txn).ok());
 
-    EXPECT_EQ(store.ValidOverlapping(Period(Chronon(150), Chronon(160))),
-              std::vector<RowId>{0})
-        << indexed;
-    EXPECT_EQ(store.ValidOverlapping(Period(Chronon(150), Chronon(350))).size(),
-              2u)
-        << indexed;
-    EXPECT_TRUE(
-        store.ValidOverlapping(Period(Chronon(200), Chronon(300))).empty())
-        << indexed;
-  }
+  EXPECT_EQ(
+      ScanRows(store_, {.valid_overlaps = Period(Chronon(150), Chronon(160))}),
+      std::vector<RowId>{0});
+  EXPECT_EQ(
+      ScanRows(store_, {.valid_overlaps = Period(Chronon(150), Chronon(350))})
+          .size(),
+      2u);
+  EXPECT_TRUE(
+      ScanRows(store_, {.valid_overlaps = Period(Chronon(200), Chronon(300))})
+          .empty());
 }
 
 TEST_F(VersionStoreTest, ObserverSeesCommittedMutationShapes) {
@@ -216,14 +221,17 @@ TEST_F(VersionStoreTest, LoadSlotPreservesTombstones) {
   EXPECT_EQ((*store.Get(2))->values[0].AsString(), "c");
 }
 
-TEST_F(VersionStoreTest, LoadSlotIndexesClosedVersions) {
+TEST_F(VersionStoreTest, LoadSlotKeepsClosedVersionsScannable) {
   VersionStore store;
   BitemporalTuple closed = Tuple("old", 10);
   closed.txn = Period(Chronon(10), Chronon(20));
   store.LoadSlot(closed);
   store.LoadSlot(Tuple("cur", 20));
-  EXPECT_EQ(store.TxnAsOf(Chronon(15)), std::vector<RowId>{0});
-  EXPECT_EQ(store.TxnAsOf(Chronon(25)), std::vector<RowId>{1});
+  EXPECT_EQ(ScanRows(store, {.txn_contains = Chronon(15)}),
+            std::vector<RowId>{0});
+  EXPECT_EQ(ScanRows(store, {.txn_contains = Chronon(25)}),
+            std::vector<RowId>{1});
+  EXPECT_EQ(store.current_count(), 1u);
 }
 
 TEST_F(VersionStoreTest, ApproximateBytesGrows) {
